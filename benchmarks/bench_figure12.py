@@ -8,7 +8,7 @@ event's total data points.
 from benchmarks.conftest import fresh_context
 from repro.bench.figure12 import figure12_model, monotone_in_points, render_figure12
 from repro.bench.table1 import table1_model
-from repro.core import FullyParallel, SequentialOriginal
+from repro.engine import policy_by_name
 
 
 def test_bench_figure12_model(benchmark):
@@ -33,10 +33,10 @@ def test_bench_figure12_measured_pair(benchmark, tmp_path, bench_dataset_dir):
     counter = iter(range(1_000_000))
 
     def run_both():
-        seq = SequentialOriginal().run(
+        seq = policy_by_name("seq-original").run(
             fresh_context(tmp_path / f"s{next(counter)}", bench_dataset_dir)
         )
-        par = FullyParallel().run(
+        par = policy_by_name("full-parallel").run(
             fresh_context(tmp_path / f"p{next(counter)}", bench_dataset_dir)
         )
         return seq, par

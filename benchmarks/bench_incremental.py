@@ -1,28 +1,28 @@
 """Extension bench — incremental reprocessing.
 
-Quantifies what the make-style runner buys an observatory: the cold
+Quantifies what the make-style ``incremental`` policy buys an observatory: the cold
 run pays full price, the warm rerun costs only fingerprinting plus two
 byte restores for the twice-written V2 generation.
 """
 
 from benchmarks.conftest import fresh_context
-from repro.core.incremental import IncrementalRunner
+from repro.core.incremental import IncrementalPolicy
 
 
 def test_bench_incremental_cold_vs_warm(benchmark, tmp_path, bench_dataset_dir):
     ctx = fresh_context(tmp_path / "incr", bench_dataset_dir)
-    cold = IncrementalRunner()
+    cold = IncrementalPolicy()
     cold_result = cold.run(ctx)
     assert cold.executed  # everything ran
 
     def warm_run():
-        runner = IncrementalRunner()
-        return runner.run(ctx), runner
+        policy = IncrementalPolicy()
+        return policy.run(ctx), policy
 
-    (warm_result, warm_runner) = benchmark.pedantic(
+    (warm_result, warm_policy) = benchmark.pedantic(
         warm_run, rounds=3, iterations=1, warmup_rounds=0
     )
-    assert warm_runner.executed == []
+    assert warm_policy.executed == []
     # Warm rerun at least 3x faster than the cold one even at this
     # tiny scale (the ratio grows with record size).
     assert warm_result.total_s < cold_result.total_s / 3.0
@@ -31,7 +31,7 @@ def test_bench_incremental_cold_vs_warm(benchmark, tmp_path, bench_dataset_dir):
 def test_bench_incremental_single_station_update(benchmark, tmp_path, bench_dataset_dir):
     """Appending data to one station reprocesses without a cold start."""
     ctx = fresh_context(tmp_path / "upd", bench_dataset_dir)
-    IncrementalRunner().run(ctx)
+    IncrementalPolicy().run(ctx)
     victim = sorted(ctx.workspace.input_dir.glob("*.v1"))[0]
     original = victim.read_text()
 
@@ -42,9 +42,9 @@ def test_bench_incremental_single_station_update(benchmark, tmp_path, bench_data
         state["flip"] = not state["flip"]
         text = original.replace(" 1.", " 2.", 1) if state["flip"] else original
         victim.write_text(text)
-        runner = IncrementalRunner()
-        runner.run(ctx)
-        return runner
+        policy = IncrementalPolicy()
+        policy.run(ctx)
+        return policy
 
-    runner = benchmark.pedantic(update_and_rerun, rounds=2, iterations=1, warmup_rounds=0)
-    assert 16 in runner.executed  # the affected chain really reran
+    policy = benchmark.pedantic(update_and_rerun, rounds=2, iterations=1, warmup_rounds=0)
+    assert 16 in policy.executed  # the affected chain really reran

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Event study: the paper's four implementations on one catalog event.
+"""Event study: the paper's four schemes on one catalog event.
 
 Reproduces, at laptop scale, the methodology behind Table I: the same
 event is processed by Sequential Original, Sequential Optimized,
@@ -17,9 +17,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import IMPLEMENTATIONS, RunContext
+from repro import RunContext, policy_by_name
 from repro.bench.workloads import materialize, scaled_workload
 from repro.core.context import ParallelSettings
+from repro.engine import PAPER_POLICIES
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from repro.synth.events import paper_event
 
@@ -48,19 +49,19 @@ def main() -> int:
     base = Path(tempfile.mkdtemp(prefix="repro-event-study-"))
     times: dict[str, float] = {}
     digests: dict[str, str] = {}
-    for impl_cls in IMPLEMENTATIONS:
+    for name in PAPER_POLICIES:
         ctx = RunContext.for_directory(
-            base / impl_cls.name,
+            base / name,
             response_config=ResponseSpectrumConfig(
                 periods=default_periods(40), dampings=(0.05,)
             ),
             parallel=ParallelSettings(num_workers=4),
         )
         materialize(event, workload, ctx.workspace.input_dir)
-        result = impl_cls().run(ctx)
-        times[impl_cls.name] = result.total_s
-        digests[impl_cls.name] = tree_digest(ctx.workspace.work_dir)
-        print(f"{impl_cls.name:>18}: {result.total_s:7.2f} s   digest {digests[impl_cls.name]}")
+        result = policy_by_name(name).run(ctx)
+        times[name] = result.total_s
+        digests[name] = tree_digest(ctx.workspace.work_dir)
+        print(f"{name:>18}: {result.total_s:7.2f} s   digest {digests[name]}")
 
     base_time = times["seq-original"]
     print("\nRelative to Sequential Original:")

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from repro import EventSpec, FullyParallel, RunContext, generate_event_dataset
+from repro import EventSpec, RunContext, generate_event_dataset, policy_by_name
 from repro.core.context import ParallelSettings
 from repro.formats.gem import read_gem
 from repro.formats.params import read_filter_params
@@ -40,7 +40,7 @@ def main() -> int:
         f"{manifest.total_points:,} data points"
     )
 
-    result = FullyParallel().run(ctx)
+    result = policy_by_name("full-parallel").run(ctx)
     print(f"Processed in {result.total_s:.1f} s (fully-parallelized pipeline)\n")
 
     # --- situation report: PGA per station --------------------------------

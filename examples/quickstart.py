@@ -31,7 +31,7 @@ def main() -> int:
     # points), processed by the fully-parallelized pipeline — one call.
     event = EventSpec("QUICKSTART", "2024-03-15", 5.6, 3, 30_000, seed=20240315)
     trace_path = Path(out_dir) / "quickstart.trace.json"
-    result = repro.run(event, "full-parallel", workspace=out_dir, trace=trace_path)
+    result = repro.run(event, policy="full-parallel", workspace=out_dir, trace=trace_path)
     ctx = repro.RunContext.for_directory(out_dir)
     print(f"Workspace: {out_dir}\n")
     print(f"Pipeline finished in {result.total_s:.2f} s")

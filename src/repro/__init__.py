@@ -3,9 +3,10 @@
 A production-grade Python reproduction of *"Parallelizing
 Accelerographic Records Processing"* (Canizales, Mixco & McClurg,
 IPPS 2024): the 20-process Salvadoran strong-motion pipeline, its
-input/output dependency analysis, the 11-stage reordering, and four
-implementations (sequential original/optimized, partially and fully
-parallelized), together with every substrate the paper relies on —
+input/output dependency analysis, the 11-stage reordering, and the
+paper's four schemes (sequential original/optimized, partially and
+fully parallelized) as scheduling policies over one execution engine,
+together with every substrate the paper relies on —
 DSP kernels, strong-motion file formats, spectra, a stochastic
 ground-motion simulator, PostScript plotting, an OpenMP-shaped
 parallel runtime, a scheduling simulator for the paper's 12-LP
@@ -38,20 +39,7 @@ from repro.engine import (
     policy_by_name,
     policy_names,
 )
-from repro.core import (
-    ALL_IMPLEMENTATIONS,
-    FullyParallel,
-    IMPLEMENTATIONS,
-    ParallelSettings,
-    PartiallyParallel,
-    PipelineResult,
-    RunContext,
-    SequentialOptimized,
-    SequentialOriginal,
-    WavefrontParallel,
-    Workspace,
-    implementation_by_name,
-)
+from repro.core import ParallelSettings, PipelineResult, RunContext, Workspace
 from repro.observability import Trace, Tracer
 from repro.synth import EventSpec, PAPER_EVENTS, generate_event_dataset
 
@@ -64,14 +52,6 @@ __all__ = [
     "ParallelSettings",
     "Workspace",
     "PipelineResult",
-    "SequentialOriginal",
-    "SequentialOptimized",
-    "PartiallyParallel",
-    "FullyParallel",
-    "WavefrontParallel",
-    "IMPLEMENTATIONS",
-    "ALL_IMPLEMENTATIONS",
-    "implementation_by_name",
     "PipelineBuilder",
     "SchedulingPolicy",
     "TaskGraph",

@@ -409,9 +409,8 @@ def verify_builder(builder, regions: list[Region] | None = None) -> list[Finding
 def verify_policy(policy) -> list[Finding]:
     """Verify a policy's static plan (name, instance, builder or graph).
 
-    Policies that schedule dynamically (the legacy wavefront and
-    incremental runners) have no static plan to verify; that is
-    reported as an advisory, not a failure.
+    Every policy has a static plan; one that cannot even be planned (an
+    unknown stage strategy, say) is an error finding, not a pass.
     """
     from repro.engine.policy import resolve_policy
 
@@ -419,7 +418,7 @@ def verify_policy(policy) -> list[Finding]:
     try:
         graph, regions = resolved.plan(None)
     except PipelineError as exc:
-        return [Finding(CHECK, INFO, str(exc))]
+        return [Finding(CHECK, ERROR, f"policy {resolved.name!r}: {exc}")]
     return verify_graph(graph, regions)
 
 

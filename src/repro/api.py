@@ -17,67 +17,26 @@ full span trace attached and exported as Chrome Trace Event JSON.
     builder = repro.PipelineBuilder(name="qc-only")          # custom graph
     builder.add_processes([0, 1, 2, 3])
     result = repro.run("ws", policy=builder)
-
-The ``implementation=`` positional argument of earlier releases still
-works but is deprecated in favour of ``policy=``.
 """
 
 from __future__ import annotations
 
 import tempfile
-import warnings
 from pathlib import Path
 
 from repro.core import RunContext, Workspace
 from repro.core.context import ParallelSettings
-from repro.core.runner import PipelineImplementation, PipelineResult
+from repro.core.runner import PipelineResult
+from repro.engine.policy import resolve_policy
 from repro.observability.tracer import Tracer
 from repro.parallel.backend import Backend
 from repro.synth.events import EventSpec
 
 
-def _resolve_pipeline(implementation, policy) -> PipelineImplementation:
-    """Resolve the deprecated ``implementation=`` / new ``policy=`` pair."""
-    from repro.engine.policy import resolve_policy
-
-    if implementation is not None and policy is not None:
-        raise ValueError(
-            "run(): pass either policy= or the deprecated implementation=, "
-            "not both"
-        )
-    if implementation is not None:
-        if isinstance(implementation, str):
-            warnings.warn(
-                f"run(..., implementation={implementation!r}) is deprecated; "
-                f"use run(..., policy={implementation!r})",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return resolve_policy(implementation).pipeline()
-        if isinstance(implementation, PipelineImplementation):
-            return implementation
-        if isinstance(implementation, type) and issubclass(
-            implementation, PipelineImplementation
-        ):
-            return implementation()
-        raise ValueError(
-            "run(): implementation must be a name, a PipelineImplementation "
-            f"class or an instance; got {type(implementation).__name__}"
-        )
-    if policy is None:
-        policy = "full-parallel"
-    if isinstance(policy, PipelineImplementation):
-        return policy
-    if isinstance(policy, type) and issubclass(policy, PipelineImplementation):
-        return policy()
-    return resolve_policy(policy).pipeline()
-
-
 def run(
     source: str | Path | Workspace | RunContext | EventSpec,
-    implementation=None,
     *,
-    policy=None,
+    policy="full-parallel",
     backend: Backend | str | None = None,
     workers: int | None = None,
     trace: bool | str | Path | None = None,
@@ -104,16 +63,12 @@ def run(
 
     - a registered policy name (``repro.engine.policy_names()`` lists
       them: the paper's four schemes plus ``full-parallel-fused``,
-      ``dag-parallel``, ``cluster-parallel``, ...);
+      ``dag-parallel``, ``wavefront-parallel``, ``cluster-parallel``
+      and ``incremental``);
     - a :class:`~repro.engine.SchedulingPolicy` instance;
     - a user-built :class:`~repro.engine.PipelineBuilder` (or its
       :class:`~repro.engine.TaskGraph`), executed by its derived
       dependency layering.
-
-    ``implementation`` (second positional argument) is the deprecated
-    pre-engine spelling: names resolve through the policy registry and
-    emit :class:`DeprecationWarning`; implementation classes and
-    instances still run as-is.
 
     ``backend`` applies one backend to loops, tasks and tools alike
     (``ParallelSettings.uniform``); pass ``settings`` instead for
@@ -136,7 +91,7 @@ def run(
     Returns the policy's :class:`PipelineResult` (with ``result.trace``
     / ``result.profile`` set when requested).
     """
-    impl = _resolve_pipeline(implementation, policy)
+    impl = resolve_policy(policy).pipeline()
 
     if isinstance(source, RunContext):
         if backend is not None or workers is not None or settings is not None \

@@ -1,9 +1,9 @@
 """Measured-mode harness: real wall-clock runs of the Python pipeline.
 
-Materializes scaled-down synthetic events and times the actual
-implementations on this machine.  On a single-core container the
-parallel implementations cannot beat the sequential ones — that is the
-point of keeping measured mode separate from model mode — but the
+Materializes scaled-down synthetic events and times the paper's four
+schemes (scheduling policies) on this machine.  On a single-core
+container the parallel policies cannot beat the sequential ones — that
+is the point of keeping measured mode separate from model mode — but the
 structural claims (optimized < original, output equality) still hold
 and are reported.
 """
@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bench.workloads import EventWorkload, materialize, scaled_workload
-from repro.core import IMPLEMENTATIONS, RunContext
+from repro.core import RunContext
 from repro.core.context import ParallelSettings
 from repro.core.runner import PipelineResult
+from repro.engine.policy import PAPER_POLICIES, policy_by_name
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 from repro.synth.events import EventSpec
 
 
 @dataclass(frozen=True)
 class MeasuredRow:
-    """Wall-clock timings of all four implementations on one workload."""
+    """Wall-clock timings of the paper's four schemes on one workload."""
 
     event_id: str
     n_files: int
@@ -55,14 +56,14 @@ def measure_implementations(
     trace_dir: Path | None = None,
     profile_dir: Path | None = None,
 ) -> MeasuredRow:
-    """Time all four implementations on one scaled-down event.
+    """Time the paper's four schemes on one scaled-down event.
 
-    Each implementation gets a fresh workspace with an identical
-    dataset (same seed), so times are comparable and outputs can be
-    diffed.  ``keep_dir`` preserves the workspaces for inspection;
-    ``include_extensions`` additionally times the wavefront and
-    cluster extensions; ``trace_dir`` records a span trace per
-    implementation and writes ``<name>.trace.json`` Chrome traces
+    Each policy gets a fresh workspace with an identical dataset (same
+    seed), so times are comparable and outputs can be diffed.
+    ``keep_dir`` preserves the workspaces for inspection;
+    ``include_extensions`` additionally times ``wavefront-parallel``
+    and ``cluster-parallel``; ``trace_dir`` records a span trace per
+    policy and writes ``<name>.trace.json`` Chrome traces
     there (the timings then come from the same spans the traces show);
     ``profile_dir`` samples each run and writes
     ``<name>.speedscope.json`` flamegraph profiles there (implies
@@ -72,14 +73,12 @@ def measure_implementations(
     times: dict[str, float] = {}
     results: dict[str, PipelineResult] = {}
     base = Path(keep_dir) if keep_dir else Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    implementations = list(IMPLEMENTATIONS)
+    names = list(PAPER_POLICIES)
     if include_extensions:
-        from repro.core import ClusterParallel, WavefrontParallel
-
-        implementations += [WavefrontParallel, ClusterParallel]
+        names += ["wavefront-parallel", "cluster-parallel"]
     try:
-        for impl_cls in implementations:
-            root = base / impl_cls.name
+        for name in names:
+            root = base / name
             ctx = RunContext.for_directory(
                 root,
                 response_config=response_config or small_response_config(),
@@ -94,24 +93,24 @@ def measure_implementations(
 
                 ctx.profiler = SamplingProfiler()
             materialize(event, workload, ctx.workspace.input_dir)
-            result = impl_cls().run(ctx)
-            times[impl_cls.name] = result.total_s
-            results[impl_cls.name] = result
+            result = policy_by_name(name).run(ctx)
+            times[name] = result.total_s
+            results[name] = result
             if trace_dir is not None and result.trace is not None:
                 from repro.observability.export import write_chrome_trace
 
                 out = Path(trace_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 write_chrome_trace(
-                    out / f"{impl_cls.name}.trace.json", result.trace,
+                    out / f"{name}.trace.json", result.trace,
                     profile=result.profile,
                 )
             if profile_dir is not None and result.profile is not None:
                 from repro.observability.profiling import write_speedscope
 
                 write_speedscope(
-                    Path(profile_dir) / f"{impl_cls.name}.speedscope.json",
-                    result.profile, name=f"{workload.event_id} {impl_cls.name}",
+                    Path(profile_dir) / f"{name}.speedscope.json",
+                    result.profile, name=f"{workload.event_id} {name}",
                 )
     finally:
         if keep_dir is None:

@@ -14,9 +14,8 @@ from repro.bench.paper_data import PAPER_TABLE1, PaperEventRow, paper_row
 from repro.bench.report import format_table, relative_error
 from repro.bench.taskgraphs import simulate_implementation
 from repro.bench.workloads import EventWorkload, paper_workloads
+from repro.engine.policy import PAPER_POLICIES
 from repro.parallel.simulate import PAPER_MACHINE, SimulatedMachine
-
-IMPLEMENTATIONS = ("seq-original", "seq-optimized", "partial-parallel", "full-parallel")
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def table1_model(
     for workload in workloads if workloads is not None else paper_workloads():
         times = {
             impl: simulate_implementation(impl, workload, model, machine).makespan_s
-            for impl in IMPLEMENTATIONS
+            for impl in PAPER_POLICIES
         }
         rows.append(
             Table1Row(

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 ``repro-process``
-    Run one of the four pipeline implementations against a workspace,
-    optionally generating a synthetic event dataset first.
+    Run one scheduling policy against a workspace, optionally
+    generating a synthetic event dataset first.
 
 ``repro-bench``
     Regenerate the paper's evaluation artifacts (Table I, Figures
@@ -31,13 +31,10 @@ def _build_process_parser() -> argparse.ArgumentParser:
     parser.add_argument("workspace", help="workspace directory (input/ holds the .v1 files)")
     parser.add_argument(
         "--policy",
-        "--implementation",
-        "-i",
-        dest="policy",
         default="full-parallel",
         choices=policy_names(),
-        help="scheduling policy to run (--implementation is the deprecated "
-        "alias; choices come from the engine's policy registry)",
+        help="scheduling policy to run (choices come from the engine's "
+        "policy registry)",
     )
     parser.add_argument(
         "--generate-event",
@@ -52,7 +49,7 @@ def _build_process_parser() -> argparse.ArgumentParser:
         "--backend",
         default=Backend.THREAD.value,
         choices=[backend.value for backend in Backend],
-        help="backend for the parallel implementations",
+        help="backend for the parallel policies",
     )
     parser.add_argument(
         "--periods", type=int, default=100, help="response-spectrum period count"
@@ -396,13 +393,9 @@ def _build_bulletin_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=1.0, help="dataset size scale")
     parser.add_argument(
         "--policy",
-        "--implementation",
-        "-i",
-        dest="policy",
         default="wavefront-parallel",
         choices=policy_names(),
-        help="scheduling policy to use (--implementation is the deprecated "
-        "alias)",
+        help="scheduling policy to use",
     )
     parser.add_argument("--periods", type=int, default=100, help="response-spectrum periods")
     parser.add_argument("--workers", type=int, default=None, help="parallel workers")
@@ -479,7 +472,7 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
         prog="repro-chaos",
         description="Seeded fault-injection soak: assert that clean runs stay "
         "byte-identical and that faulty runs converge to the same quarantine "
-        "set, retry counts and degraded text on every implementation and "
+        "set, retry counts and degraded text on every policy and "
         "backend.",
     )
     parser.add_argument("--root", default="chaos-run", help="soak workspace root directory")
@@ -499,13 +492,10 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2, help="parallel worker count")
     parser.add_argument(
         "--policies",
-        "--implementations",
-        dest="implementations",
         nargs="+",
         default=None,
         metavar="NAME",
-        help="scheduling policies to soak (default: the paper's four; "
-        "--implementations is the deprecated alias)",
+        help="scheduling policies to soak (default: the paper's four)",
     )
     return parser
 
@@ -520,7 +510,7 @@ def main_chaos(argv: list[str] | None = None) -> int:
         args.seeds,
         scale=args.scale,
         n_faults=args.faults,
-        implementations=args.implementations,
+        implementations=args.policies,
         workers=args.workers,
     )
     print(report.render())

@@ -1,5 +1,5 @@
 """The paper's primary contribution: the accelerographic records
-processing pipeline and its four implementations.
+processing pipeline, its processes and its dependency analysis.
 
 - :mod:`repro.core.artifacts`    — workspace layout and file naming.
 - :mod:`repro.core.context`      — run configuration (:class:`RunContext`).
@@ -14,19 +14,18 @@ processing pipeline and its four implementations.
 - :mod:`repro.core.stages`       — the 11-stage reordering of Fig. 9.
 - :mod:`repro.core.tempfolders`  — temp-folder staging used to run
   un-modifiable tools concurrently (stages IV, V, VIII).
-- :mod:`repro.core.sequential` / :mod:`partial` / :mod:`full` — the four
-  implementations; :mod:`repro.core.runner` — shared result types.
+- :mod:`repro.core.wavefront`    — the per-station chain the wavefront
+  and cluster policies schedule; :mod:`repro.core.incremental` — the
+  memoizing ``incremental`` policy.
+- :mod:`repro.core.runner`       — shared result types.
+
+The schemes themselves (the paper's four and the extensions) are
+scheduling policies over one engine: see :mod:`repro.engine`.
 """
 
 from repro.core.artifacts import Workspace
 from repro.core.context import ParallelSettings, RunContext
 from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
-from repro.core.sequential import SequentialOriginal, SequentialOptimized
-from repro.core.partial import PartiallyParallel
-from repro.core.full import FullyParallel
-from repro.core.wavefront import WavefrontParallel
-from repro.core.cluster_impl import ClusterParallel
-from repro.core.incremental import IncrementalRunner
 from repro.core.batch import BatchRunner, Bulletin, EventSummary
 from repro.core.verify import (
     VerificationReport,
@@ -44,43 +43,6 @@ from repro.core.dependencies import (
     validate_stage_plan,
 )
 
-#: The paper's four implementations, in presentation order.
-IMPLEMENTATIONS = (
-    SequentialOriginal,
-    SequentialOptimized,
-    PartiallyParallel,
-    FullyParallel,
-)
-
-#: The paper's four plus the extensions: the §VIII wavefront, the
-#: MPI-style cluster implementation and the make-style incremental
-#: runner.
-ALL_IMPLEMENTATIONS = IMPLEMENTATIONS + (
-    WavefrontParallel,
-    ClusterParallel,
-    IncrementalRunner,
-)
-
-
-def implementation_by_name(name: str) -> type[PipelineImplementation]:
-    """Look up an implementation class by its short name.
-
-    Raises :class:`ValueError` naming every known implementation (and
-    the closest match) instead of a bare ``KeyError``.
-    """
-    for impl in ALL_IMPLEMENTATIONS:
-        if impl.name == name:
-            return impl
-    import difflib
-
-    known = [impl.name for impl in ALL_IMPLEMENTATIONS]
-    message = f"unknown implementation {name!r}; known: {known}"
-    close = difflib.get_close_matches(str(name), known, n=1)
-    if close:
-        message += f" (did you mean {close[0]!r}?)"
-    raise ValueError(message)
-
-
 __all__ = [
     "Workspace",
     "ParallelSettings",
@@ -88,13 +50,6 @@ __all__ = [
     "PipelineImplementation",
     "PipelineResult",
     "ProcessTiming",
-    "SequentialOriginal",
-    "SequentialOptimized",
-    "PartiallyParallel",
-    "FullyParallel",
-    "WavefrontParallel",
-    "ClusterParallel",
-    "IncrementalRunner",
     "BatchRunner",
     "Bulletin",
     "EventSummary",
@@ -102,7 +57,6 @@ __all__ = [
     "compare_workspaces",
     "verify_inventory",
     "workspace_digests",
-    "ALL_IMPLEMENTATIONS",
     "PROCESSES",
     "ProcessSpec",
     "STAGES",
@@ -112,6 +66,4 @@ __all__ = [
     "validate_sequential_order",
     "validate_stage_plan",
     "parallelizable_sets",
-    "IMPLEMENTATIONS",
-    "implementation_by_name",
 ]

@@ -190,7 +190,7 @@ class Workspace:
     def final_artifact_names(self, stations: list[str]) -> list[str]:
         """Every artifact name a complete run must produce.
 
-        Used by tests to assert the four implementations agree on both
+        Used by tests to assert every policy agrees on both
         the inventory and the bytes.
         """
         names = [

@@ -1,12 +1,14 @@
-"""Incremental (make-style) pipeline execution.
+"""Incremental (make-style) pipeline execution: the ``incremental`` policy.
 
 Observatories rerun the pipeline constantly — after a parameter tweak,
 after one more station's record arrives, after a crash.  Rerunning all
 20 processes from scratch every time is the very cost the paper
-attacks; this runner attacks the *other* axis: skip every process
+attacks; this policy attacks the *other* axis: skip every process
 whose inputs and outputs are already up to date.
 
-Mechanism, built on the registry's declared reads/writes:
+The plan is the optimized order, one region per process; each region
+is a memoizing custom task built on the registry's declared
+reads/writes:
 
 1. before running a process, resolve its declared read identities to
    concrete files (:meth:`Workspace.artifact_paths`) and fingerprint
@@ -19,7 +21,8 @@ Mechanism, built on the registry's declared reads/writes:
    bytes instead of recomputing — every executed process deposits its
    outputs in ``<workspace>/.cache/p<pid>/``;
 4. otherwise run the process, cache its outputs and record the new
-   fingerprints.
+   fingerprints (the state file is rewritten after every executed
+   process, so an interrupted run keeps its progress).
 
 Because a skipped or restored process leaves its outputs
 byte-identical, downstream fingerprints are unchanged and the skipping
@@ -30,7 +33,7 @@ re-executes exactly the affected suffix of the dependency graph.
 
 State lives in ``<workspace>/.pipeline_state.json`` and
 ``<workspace>/.cache/`` — outside ``work/`` so the artifact inventory
-stays identical to the other implementations'.
+stays identical to every other policy's.
 """
 
 from __future__ import annotations
@@ -39,14 +42,18 @@ import hashlib
 import json
 import logging
 import shutil
-import time
+from functools import partial
 from pathlib import Path
 
-logger = logging.getLogger("repro.core")
-
 from repro.core.context import RunContext
+from repro.core.dependencies import build_process_graph
 from repro.core.registry import OPTIMIZED_ORDER, PROCESSES
-from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
+from repro.engine.executor import _timed, record_timing
+from repro.engine.graph import CUSTOM, SEQ, PipelineBuilder, Region, TaskGraph
+from repro.engine.policy import SchedulingPolicy
+from repro.observability.tracer import maybe_span
+
+logger = logging.getLogger("repro.core")
 
 STATE_FILE = ".pipeline_state.json"
 
@@ -90,13 +97,13 @@ def _digest_files(paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-class IncrementalRunner(PipelineImplementation):
-    """Sequential-optimized order with up-to-date processes skipped.
+class IncrementalPolicy(SchedulingPolicy):
+    """The optimized order with up-to-date processes skipped.
 
-    The final artifacts are byte-identical to every other
-    implementation's (same process bodies); only the amount of work
-    re-done differs.  :attr:`executed` and :attr:`skipped` report what
-    the last run actually did.
+    The final artifacts are byte-identical to every other policy's
+    (same process bodies); only the amount of work re-done differs.
+    :attr:`executed`, :attr:`skipped` and :attr:`restored` report what
+    the last run of this instance actually did.
     """
 
     name = "incremental"
@@ -143,55 +150,74 @@ class IncrementalRunner(PipelineImplementation):
             shutil.copy2(cache / path.name, path)
         return True
 
-    def execute(self, ctx: RunContext, result: PipelineResult) -> None:
-        self.executed = []
-        self.skipped = []
-        self.restored = []
-        stations = ctx.stations()
-        config_fp = _config_fingerprint(ctx)
-        state = self._load_state(ctx)
-        workspace = ctx.workspace
-
+    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
+        memo: dict = {}
+        builder = PipelineBuilder(name=self.name)
         for pid in OPTIMIZED_ORDER:
             spec = PROCESSES[pid]
-            read_paths: list[Path] = []
-            for ref in spec.reads:
-                read_paths.extend(workspace.artifact_paths(ref.identity, stations))
-            write_paths: list[Path] = []
-            for ref in spec.writes:
-                write_paths.extend(workspace.artifact_paths(ref.identity, stations))
-
-            inputs_fp = config_fp + _digest_files(read_paths)
-            entry = state.get(str(pid))
-            if entry is not None and entry.get("inputs") == inputs_fp:
-                if entry.get("outputs") == _digest_files(write_paths):
-                    self.skipped.append(pid)
-                    logger.debug("%s up to date, skipped", spec.label)
-                    result.stage_durations[spec.label] = 0.0
-                    continue
-                # Same inputs, outputs overwritten or deleted: restore
-                # the cached bytes instead of recomputing, then verify.
-                if (
-                    self._restore_outputs(ctx, pid, write_paths)
-                    and entry.get("outputs") == _digest_files(write_paths)
-                ):
-                    self.restored.append(pid)
-                    logger.debug("%s restored from the output cache", spec.label)
-                    result.stage_durations[spec.label] = 0.0
-                    continue
-
-            start = time.perf_counter()
-            spec.run(ctx)
-            elapsed = time.perf_counter() - start
-            self.executed.append(pid)
-            result.processes.append(
-                ProcessTiming(pid=pid, name=spec.name, stage=spec.label, duration_s=elapsed)
+            # Opaque: the step dispatches through the registry, whose
+            # bodies the conformance pass already proved match these
+            # declarations.
+            builder.add_task(
+                spec.label, partial(self._step, memo, pid), span_strategy=SEQ,
+                reads=tuple(ref.identity for ref in spec.reads),
+                writes=tuple(ref.identity for ref in spec.writes),
+                opaque=True,
             )
-            result.stage_durations[spec.label] = elapsed
-            self._cache_outputs(ctx, pid, write_paths)
-            state[str(pid)] = {
-                "inputs": inputs_fp,
-                "outputs": _digest_files(write_paths),
-            }
+        for a, b in build_process_graph(OPTIMIZED_ORDER).edges:
+            builder.after(f"P{a}", f"P{b}")
+        graph = builder.build()
+        regions = [
+            Region(label=task.name, tasks=(task,), strategy=CUSTOM)
+            for task in graph.tasks
+        ]
+        return graph, regions
 
-        self._state_path(ctx).write_text(json.dumps(state, indent=1, sort_keys=True))
+    def _step(self, memo: dict, pid: int, ctx: RunContext, result) -> None:
+        """Skip, restore or run one process."""
+        if not memo:
+            # First step of a run: load the recorded state once.
+            memo.update(
+                state=self._load_state(ctx),
+                config=_config_fingerprint(ctx),
+                stations=ctx.stations(),
+            )
+            self.executed, self.skipped, self.restored = [], [], []
+        spec = PROCESSES[pid]
+        workspace = ctx.workspace
+        read_paths: list[Path] = []
+        for ref in spec.reads:
+            read_paths.extend(workspace.artifact_paths(ref.identity, memo["stations"]))
+        write_paths: list[Path] = []
+        for ref in spec.writes:
+            write_paths.extend(workspace.artifact_paths(ref.identity, memo["stations"]))
+
+        inputs_fp = memo["config"] + _digest_files(read_paths)
+        entry = memo["state"].get(str(pid))
+        if entry is not None and entry.get("inputs") == inputs_fp:
+            if entry.get("outputs") == _digest_files(write_paths):
+                self.skipped.append(pid)
+                logger.debug("%s up to date, skipped", spec.label)
+                return
+            # Same inputs, outputs overwritten or deleted: restore the
+            # cached bytes instead of recomputing, then verify.
+            if (
+                self._restore_outputs(ctx, pid, write_paths)
+                and entry.get("outputs") == _digest_files(write_paths)
+            ):
+                self.restored.append(pid)
+                logger.debug("%s restored from the output cache", spec.label)
+                return
+
+        with maybe_span(
+            ctx.tracer, spec.name, kind="process", pid=pid, stage=spec.label,
+        ):
+            _, elapsed = _timed(pid, ctx)
+        record_timing(ctx, result, spec.label, pid, elapsed)
+        self.executed.append(pid)
+        self._cache_outputs(ctx, pid, write_paths)
+        memo["state"][str(pid)] = {
+            "inputs": inputs_fp,
+            "outputs": _digest_files(write_paths),
+        }
+        self._state_path(ctx).write_text(json.dumps(memo["state"], indent=1, sort_keys=True))

@@ -1,4 +1,4 @@
-"""Shared result types and the implementation base class."""
+"""Shared result types and the pipeline base class."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.context import RunContext
-from repro.core.registry import PROCESSES
 from repro.observability.tracer import Trace, maybe_span
 
 logger = logging.getLogger("repro.core")
@@ -40,7 +39,7 @@ class PipelineResult:
     total_s: float
     processes: list[ProcessTiming] = field(default_factory=list)
     #: Elapsed wall-clock per stage (stage label -> seconds).  For the
-    #: sequential implementations each process is its own "stage".
+    #: sequential policies each process is its own "stage".
     stage_durations: dict[str, float] = field(default_factory=dict)
     #: The run's span trace, when the context carried an enabled tracer.
     trace: Trace | None = field(default=None, repr=False, compare=False)
@@ -119,10 +118,12 @@ class PipelineResult:
 
 
 class PipelineImplementation(ABC):
-    """Base class of the four pipeline implementations.
+    """Base class of executable pipelines.
 
     Subclasses define ``name``/``description`` and :meth:`execute`;
-    :meth:`run` wraps it with end-to-end timing.
+    :meth:`run` wraps it with end-to-end timing.  Every scheduling
+    policy runs through one subclass,
+    :class:`~repro.engine.executor.EnginePipeline`.
     """
 
     name: str = ""
@@ -271,19 +272,3 @@ class PipelineImplementation(ABC):
         maybe_append_run(ctx, result)
         logger.info("%s: finished in %.3f s", self.name, result.total_s)
         return result
-
-    @staticmethod
-    def _timed_process(ctx: RunContext, pid: int, stage: str, result: PipelineResult,
-                       **kwargs: object) -> None:
-        """Run one registry process with timing bookkeeping."""
-        spec = PROCESSES[pid]
-        start = time.perf_counter()
-        spec.run(ctx, **kwargs)  # type: ignore[call-arg]
-        elapsed = time.perf_counter() - start
-        result.processes.append(
-            ProcessTiming(pid=pid, name=spec.name, stage=stage, duration_s=elapsed)
-        )
-        if ctx.metrics is not None:
-            from repro.observability.metrics import record_process
-
-            record_process(pid, elapsed)

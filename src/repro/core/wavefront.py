@@ -1,4 +1,4 @@
-"""Wavefront-scheduled implementation (the paper's §VIII future work).
+"""The wavefront station unit (the paper's §VIII future work).
 
 The paper's fully-parallelized version keeps a barrier between every
 stage: all stations must finish stage IV before any may start stage V,
@@ -15,50 +15,36 @@ barriers** between the former stages.  Load imbalance melts away: a
 station with a short record finishes its expensive response stage
 while a big station is still filtering.
 
+:func:`process_station_wavefront` is that per-station chain; the
+``wavefront-parallel`` and ``cluster-parallel`` policies
+(:mod:`repro.engine.policy`) place it on a parallel loop or on SPMD
+ranks between a shared prologue and epilogue.
+
 Output parity: the global artifacts (flags, lists, metadata,
 ``filter_corrected.par``, the maxvals files) are written exactly as the
-staged implementations write them — corner specs are collected and
-written sorted, per-trace maxima lines are merged in sorted name
-order — so the wavefront run remains byte-identical to the other four
-implementations (enforced by the integration tests).
+staged plans write them — corner specs are collected and written
+sorted, per-trace maxima lines are merged (:func:`_merge_suffixed`) in
+sorted name order — so station-chain runs remain byte-identical to
+every other policy (enforced by the integration tests).
 """
 
 from __future__ import annotations
 
-import time
-from functools import partial
-
-from repro.core.artifacts import (
-    FILTER_CORRECTED,
-    FILTER_PARAMS,
-    MAXVALS,
-    MAXVALS2,
-    Workspace,
-)
+from repro.core.artifacts import FILTER_PARAMS, Workspace
 from repro.core.auditing import unit_scope
 from repro.core.context import RunContext
-from repro.core.processes.p00_flags import run_p00
-from repro.core.processes.p01_gather import run_p01
-from repro.core.processes.p02_params import run_p02
-from repro.core.processes.p03_separate import separate_station, stations_from_list
-from repro.core.processes.p05_metadata import run_p05
-from repro.core.processes.p08_fourier_meta import run_p08
+from repro.core.processes.p03_separate import separate_station
 from repro.core.processes.p10_corners import analyze_component
-from repro.core.processes.p11_flags2 import run_p11
 from repro.core.processes.p16_response import response_for_trace
-from repro.core.processes.p17_response_meta import run_p17
 from repro.core.processes.p19_gem import set_data_apart
-from repro.core.runner import PipelineImplementation, PipelineResult, ProcessTiming
-from repro.core.staged import correction_instance, fourier_instance
 from repro.core.tempfolders import run_staged_instance
 from repro.dsp.fir import BandPassSpec
+from repro.engine.executor import correction_instance, fourier_instance
 from repro.formats.common import COMPONENTS
 from repro.formats.fourier import component_f_name, read_fourier
 from repro.formats.params import FilterParams, read_filter_params, write_filter_params
 from repro.formats.response import component_r_name, read_response
 from repro.formats.v2 import component_v2_name, read_v2
-from repro.observability.tracer import maybe_span
-from repro.parallel.omp import TaskGroup, parallel_for
 from repro.plotting.seismo import (
     plot_accelerograph,
     plot_fourier_spectrum,
@@ -104,7 +90,7 @@ def process_station_wavefront(
     separate_station(root, station)
 
     # P4 (this station only): default correction via a staged tool
-    # instance — identical bytes to the barriered implementations.
+    # instance — identical bytes to the barriered plans.
     # Each section carries its own audit scope (process, station) so
     # concurrent wavefronts stay distinguishable per unit.
     with unit_scope("P4", station):
@@ -116,7 +102,7 @@ def process_station_wavefront(
         run_staged_instance(root, fourier_instance("V", index, station, ctx))
 
     # P10 (this station): corner search per component, seeded from the
-    # on-disk default corners exactly like the staged implementations.
+    # on-disk default corners exactly like the staged plans.
     with unit_scope("P10", station):
         base = read_filter_params(workspace.work(FILTER_PARAMS), process="P10").default
     specs: list[tuple[str, str, BandPassSpec]] = []
@@ -179,105 +165,3 @@ def process_station_wavefront(
         }
         plot_response_spectrum(workspace.plot_response(station), r_records)
     return specs
-
-
-class WavefrontParallel(PipelineImplementation):
-    """Per-station pipelining with no inter-stage barriers.
-
-    Not one of the paper's four implementations — it realizes the
-    "wavefront scheduling" improvement sketched in the paper's
-    discussion (§VIII) on top of the same processes and artifacts.
-    """
-
-    name = "wavefront-parallel"
-    description = "Wavefront: per-station pipelines, no stage barriers (§VIII)"
-
-    def execute(self, ctx: RunContext, result: PipelineResult) -> None:
-        tracer = ctx.tracer
-        # Prologue: stages I, II and VII exactly as before (they build
-        # the global lists/metadata every station unit relies on).
-        with maybe_span(
-            tracer, "prologue", kind="stage", stage="prologue",
-            strategy="tasks", implementation=self.name,
-        ) as prologue_span:
-            start = time.perf_counter()
-            with TaskGroup(
-                backend=ctx.parallel.task_backend,
-                num_workers=min(ctx.parallel.workers, 2),
-                tracer=tracer,
-                metrics=ctx.metrics,
-            ) as tg:
-                tg.task(run_p00, ctx)
-                tg.task(run_p01, ctx)
-            with TaskGroup(
-                backend=ctx.parallel.task_backend,
-                num_workers=min(ctx.parallel.workers, 4),
-                tracer=tracer,
-                metrics=ctx.metrics,
-            ) as tg:
-                tg.task(run_p02, ctx)
-                tg.task(run_p05, ctx)
-                tg.task(run_p08, ctx)
-                tg.task(run_p17, ctx)
-            with maybe_span(tracer, "run_p11", kind="process", pid=11, stage="prologue"):
-                run_p11(ctx)
-            elapsed = time.perf_counter() - start
-        result.stage_durations["prologue"] = (
-            prologue_span.duration_s if prologue_span is not None else elapsed
-        )
-
-        # The wavefront: stations flow through their chains concurrently.
-        with maybe_span(
-            tracer, "wavefront", kind="stage", stage="wavefront",
-            strategy="loop", implementation=self.name,
-        ) as wavefront_span:
-            start = time.perf_counter()
-            stations = stations_from_list(ctx.workspace)
-            all_specs = parallel_for(
-                partial(process_station_wavefront, ctx),
-                list(enumerate(stations)),
-                backend=ctx.parallel.loop_backend,
-                num_workers=ctx.parallel.workers,
-                tracer=tracer,
-                span="station_pipeline",
-                metrics=ctx.metrics,
-            )
-            elapsed = time.perf_counter() - start
-        result.stage_durations["wavefront"] = (
-            wavefront_span.duration_s if wavefront_span is not None else elapsed
-        )
-
-        # Epilogue: assemble the global artifacts deterministically.
-        with maybe_span(
-            tracer, "epilogue", kind="stage", stage="epilogue",
-            strategy="seq", implementation=self.name,
-        ) as epilogue_span:
-            start = time.perf_counter()
-            with unit_scope("P10"):
-                base = read_filter_params(
-                    ctx.workspace.work(FILTER_PARAMS), process="P10"
-                ).default
-                params = FilterParams(default=base)
-                for specs in all_specs:
-                    for station, comp, spec in specs:
-                        params.set_override(station, comp, spec)
-                write_filter_params(ctx.workspace.work(FILTER_CORRECTED), params)
-            with unit_scope("P4"):
-                _merge_suffixed(ctx.workspace, "max1", MAXVALS)
-            with unit_scope("P13"):
-                _merge_suffixed(ctx.workspace, "max2", MAXVALS2)
-            tmp = ctx.workspace.tmp_dir
-            if tmp.exists() and not any(tmp.iterdir()):
-                tmp.rmdir()
-            elapsed = time.perf_counter() - start
-        result.stage_durations["epilogue"] = (
-            epilogue_span.duration_s if epilogue_span is not None else elapsed
-        )
-        result.processes.append(
-            ProcessTiming(
-                pid=-1,
-                name="wavefront station pipelines",
-                stage="wavefront",
-                duration_s=result.stage_durations["wavefront"],
-            )
-        )

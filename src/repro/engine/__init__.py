@@ -16,10 +16,14 @@ and the thread/process backends.
     result = repro.run("workspace", policy=builder)
 
 The paper's four schemes are the built-in policies ``seq-original``,
-``seq-optimized``, ``partial-parallel`` and ``full-parallel``;
-``full-parallel-fused`` additionally executes the ``repro-lint``
-fusion advisories, and ``dag-parallel`` runs the layering derived
-straight from the declarations.
+``seq-optimized``, ``partial-parallel`` and ``full-parallel``
+(:data:`PAPER_POLICIES`); ``full-parallel-fused`` additionally executes
+the ``repro-lint`` fusion advisories, ``dag-parallel`` runs the
+layering derived straight from the declarations, ``wavefront-parallel``
+and ``cluster-parallel`` schedule per-station chains between a
+prologue and an epilogue, and ``incremental`` memoizes the optimized
+order.  Every registered policy returns a static plan, so every scheme
+can be verified (``repro-lint graph --all-policies``) before it runs.
 """
 
 from repro.engine.graph import (
@@ -36,14 +40,16 @@ from repro.engine.graph import (
 )
 from repro.engine.executor import Engine, EnginePipeline, run_graph
 from repro.engine.policy import (
+    PAPER_POLICIES,
     POLICIES,
     ClusterPolicy,
     DerivedPolicy,
     GraphPolicy,
-    LegacyPolicy,
     SchedulingPolicy,
     SequentialPolicy,
     StagedPolicy,
+    StationChainPolicy,
+    WavefrontPolicy,
     pipeline_factory,
     policy_by_name,
     policy_names,
@@ -69,9 +75,11 @@ __all__ = [
     "SequentialPolicy",
     "StagedPolicy",
     "DerivedPolicy",
+    "StationChainPolicy",
+    "WavefrontPolicy",
     "ClusterPolicy",
     "GraphPolicy",
-    "LegacyPolicy",
+    "PAPER_POLICIES",
     "POLICIES",
     "pipeline_factory",
     "policy_by_name",

@@ -20,8 +20,7 @@ Every parallel path collects per-item results in deterministic order
 and performs merges after its own process completes, so outputs are
 byte-identical across policies and backends.  Spans, metrics, worker
 profile shards, and the resilience runtime's retry/quarantine wrappers
-thread through exactly as they did in the per-implementation
-executors this module replaces.
+thread through every strategy.
 """
 
 from __future__ import annotations
@@ -89,6 +88,27 @@ def _timed(pid: int, ctx: RunContext, **kwargs: object) -> tuple[int, float]:
     return pid, time.perf_counter() - start
 
 
+def record_timing(
+    ctx: RunContext, result: PipelineResult, stage: str, pid: int, duration: float
+) -> None:
+    """Book one executed process: result row, debug log, live event
+    and metrics sample."""
+    spec = PROCESSES[pid]
+    result.processes.append(
+        ProcessTiming(pid=pid, name=spec.name, stage=stage, duration_s=duration)
+    )
+    core_logger.debug("%s (%s) finished in %.4f s", spec.label, spec.name, duration)
+    if events_active(ctx.workspace.root):
+        emit_event(
+            ctx.workspace.root, "process_finished", process=spec.label,
+            name=spec.name, stage=stage, duration_s=duration,
+        )
+    if ctx.metrics is not None:
+        from repro.observability.metrics import record_process
+
+        record_process(pid, duration)
+
+
 def _response_unit(workspace_root: str, config: object, pair: tuple[str, str]) -> str:
     """Picklable body for the response-spectrum loop (P16)."""
     v2_name, r_name = pair
@@ -147,9 +167,8 @@ class Engine:
 
     The engine owns per-run state only (the shared worker pools); the
     policy owns the schedule.  :class:`EnginePipeline` adapts a policy
-    to the :class:`PipelineImplementation` interface so every existing
-    tool (tracer, profiler, perf gate, chaos soak) drives engine runs
-    unchanged.
+    to the :class:`PipelineImplementation` interface the tracer,
+    profiler, perf gate and chaos soak drive.
     """
 
     def __init__(self, policy, *, verify: bool = False) -> None:
@@ -288,29 +307,6 @@ class Engine:
         else:
             raise PipelineError(f"unknown region strategy {region.strategy!r}")
 
-    def _record(
-        self, result: PipelineResult, region: Region, pid: int, duration: float,
-        ctx: RunContext | None = None,
-    ) -> None:
-        spec = PROCESSES[pid]
-        result.processes.append(
-            ProcessTiming(
-                pid=pid, name=spec.name, stage=region.label, duration_s=duration,
-            )
-        )
-        core_logger.debug(
-            "%s (%s) finished in %.4f s", spec.label, spec.name, duration
-        )
-        if ctx is not None and events_active(ctx.workspace.root):
-            emit_event(
-                ctx.workspace.root, "process_finished", process=spec.label,
-                name=spec.name, stage=region.label, duration_s=duration,
-            )
-        if ctx is not None and ctx.metrics is not None:
-            from repro.observability.metrics import record_process
-
-            record_process(pid, duration)
-
     # -- seq ---------------------------------------------------------------
 
     def _region_seq(self, ctx: RunContext, result: PipelineResult, region: Region) -> None:
@@ -320,7 +316,7 @@ class Engine:
                 pid=task.pid, stage=region.label,
             ):
                 _, elapsed = _timed(task.pid, ctx)
-            self._record(result, region, task.pid, elapsed, ctx=ctx)
+            record_timing(ctx, result, region.label, task.pid, elapsed)
 
     # -- tasks -------------------------------------------------------------
 
@@ -335,7 +331,7 @@ class Engine:
             for task in region.tasks:
                 tg.task(_timed, task.pid, ctx, span_name=PROCESSES[task.pid].name)
         for pid, elapsed in tg.results:
-            self._record(result, region, pid, elapsed, ctx=ctx)
+            record_timing(ctx, result, region.label, pid, elapsed)
 
     # -- custom ------------------------------------------------------------
 
@@ -369,7 +365,7 @@ class Engine:
             for task in custom:
                 task.run(ctx, result)  # type: ignore[misc]
         for pid, elapsed in tg.results:
-            self._record(result, region, pid, elapsed, ctx=ctx)
+            record_timing(ctx, result, region.label, pid, elapsed)
 
     # -- loops -------------------------------------------------------------
 
@@ -431,7 +427,7 @@ class Engine:
                 )
             else:
                 raise PipelineError(f"no loop strategy defined for P{pid}")
-        self._record(result, region, pid, time.perf_counter() - start, ctx=ctx)
+        record_timing(ctx, result, region.label, pid, time.perf_counter() - start)
 
     # -- temp folders ------------------------------------------------------
 
@@ -484,7 +480,7 @@ class Engine:
                     runtime.quarantine_reports(reports, tracer=ctx.tracer)
             if maxvals_name is not None:
                 merge_max_files(ctx.workspace.work_dir, maxvals_name)
-        self._record(result, region, pid, time.perf_counter() - start, ctx=ctx)
+        record_timing(ctx, result, region.label, pid, time.perf_counter() - start)
 
 
 def _temp_folder_stage(pid: int) -> str:
@@ -497,11 +493,10 @@ def _temp_folder_stage(pid: int) -> str:
 class EnginePipeline(PipelineImplementation):
     """A scheduling policy adapted to the implementation interface.
 
-    This is the execution front door the redesigned API hands out: the
-    shared :meth:`~repro.core.runner.PipelineImplementation.run`
-    wrapper (auditing, resilience runtime, tracer/profiler sessions,
-    metrics) drives the engine exactly as it drove the legacy
-    implementation classes.
+    This is the execution front door the API hands out: the shared
+    :meth:`~repro.core.runner.PipelineImplementation.run` wrapper
+    (auditing, resilience runtime, tracer/profiler sessions, metrics)
+    drives the engine.
     """
 
     def __init__(self, policy, *, verify: bool = False) -> None:

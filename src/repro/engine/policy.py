@@ -1,25 +1,28 @@
-"""Scheduling policies: the paper's schemes as plans over one engine.
+"""Scheduling policies: every scheme as a plan over one engine.
 
 A :class:`SchedulingPolicy` owns exactly one decision — *which tasks
 run between which barriers, with which per-task strategy* — expressed
 as a :class:`~repro.engine.graph.TaskGraph` plus an ordered list of
 :class:`~repro.engine.graph.Region` barrier groups.  The engine
 executes any valid plan, so the paper's four schemes reduce to four
-small policy objects:
+small policy objects (:data:`PAPER_POLICIES`):
 
-==================  ==================================================
-``seq-original``    every process its own barrier, numeric order
-``seq-optimized``   the 17-process order, redundancies removed
+====================  ================================================
+``seq-original``      every process its own barrier, numeric order
+``seq-optimized``     the 17-process order, redundancies removed
 ``partial-parallel``  Fig. 9 stages, 5 of 11 parallel
-``full-parallel``   Fig. 9 stages, 10 of 11 parallel
-``cluster-parallel``  prologue / SPMD ranks / epilogue
-==================  ==================================================
+``full-parallel``     Fig. 9 stages, 10 of 11 parallel
+====================  ================================================
 
 Beyond the paper, ``full-parallel-fused`` executes the ``repro-lint``
 fusion advisories (adjacent stages with no crossing dependency edge
 merge into one barrier group), and ``dag-parallel`` drops the Fig. 9
 layering entirely, running the layering derived from the registry
 declarations — as many barriers as the I/O requires, none extra.
+``wavefront-parallel`` (the paper's §VIII wavefront) and
+``cluster-parallel`` run prologue / per-station chains / epilogue,
+placing the chains on a parallel loop or on SPMD ranks; ``incremental``
+memoizes the optimized order, one region per process.
 
 Every plan is validated against the derived dependency graph before
 execution: a policy cannot ship a schedule the declarations forbid.
@@ -62,9 +65,9 @@ _MEMBER_STRATEGY = {
 class SchedulingPolicy:
     """How a pipeline's task graph is laid out between barriers.
 
-    Subclasses implement :meth:`plan`; :meth:`pipeline` adapts the
-    policy to the implementation interface so it can be run, traced,
-    profiled and benchmarked like any legacy implementation.
+    Subclasses implement :meth:`plan`; :meth:`pipeline` wraps the
+    policy in an :class:`~repro.engine.executor.EnginePipeline` so it
+    can be run, traced, profiled and benchmarked.
     """
 
     name: str = ""
@@ -114,7 +117,7 @@ class StagedPolicy(SchedulingPolicy):
     """The Fig. 9 eleven-stage plan with per-stage strategies.
 
     ``strategies`` maps stage name to its strategy (missing stages run
-    ``seq``) — the same shape the legacy staged implementations used.
+    ``seq``).
     With ``fuse=True``, adjacent stages joined by no dependency edge
     merge into single barrier groups: the executed form of the
     ``repro-lint`` schedule advisories (II+III, VI+VII, X+XI on the
@@ -189,34 +192,45 @@ class DerivedPolicy(SchedulingPolicy):
         return graph, graph.derive_regions()
 
 
-class ClusterPolicy(SchedulingPolicy):
-    """Prologue / SPMD ranks / epilogue as three custom tasks.
+#: Artifact identities one station chain reads and writes (P3, P4, P7,
+#: P10, P13, P16, P19 and the three plots, for one station).
+_CHAIN_READS = (
+    "v1_list", "raw_v1", "filter_params", "comp_v1", "comp_v2", "comp_f", "comp_r",
+)
+_CHAIN_WRITES = (
+    "comp_v1", "comp_v2", "comp_f", "comp_r", "gem",
+    "plot_fourier", "plot_acc", "plot_response",
+)
 
-    The rank fan-out is one custom task wrapping
-    :func:`repro.parallel.cluster.run_cluster`; the deterministic
-    epilogue merges the gathered corner specs and maxvals shards.
+
+class StationChainPolicy(SchedulingPolicy):
+    """Prologue / per-station chains / epilogue as three custom tasks.
+
+    After stages I, II and VII the per-station work is independent:
+    each station flows through its whole chain
+    (:func:`~repro.core.wavefront.process_station_wavefront`) with no
+    stage barriers between the former stages.  The prologue builds the
+    global lists and metadata every chain relies on; the epilogue
+    assembles the global artifacts (``filter_corrected.par``, the
+    maxvals files) in sorted order, so outputs stay byte-identical to
+    the barriered plans.  Subclasses differ only in the middle task:
+    :meth:`_chains` places the chains and leaves the gathered corner
+    specs in the run state.
     """
 
-    name = "cluster-parallel"
-    description = "Cluster: MPI-style ranks over a shared workspace"
-
-    def __init__(self, n_ranks: int | None = None, *, name: str | None = None,
-                 description: str | None = None) -> None:
-        self.n_ranks = n_ranks
-        if name is not None:
-            self.name = name
-        if description is not None:
-            self.description = description
+    #: Label of the middle region and the strategy shown on its span.
+    chains_label = ""
+    chains_strategy = ""
 
     def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
-        state: dict = {}
+        state: dict = {"stage": self.chains_label}
         builder = PipelineBuilder(name=self.name)
         # Effects are declared so the graph verifier can prove the
         # three-region plan: prologue and epilogue bodies are
-        # cross-checked by inference, the rank fan-out is opaque (its
-        # work happens in forked rank processes).
+        # cross-checked by inference, the chain fan-out is opaque (its
+        # work happens in pool workers or forked rank processes).
         builder.add_task(
-            "prologue", self._prologue, span_strategy="seq",
+            "prologue", self._prologue, span_strategy=SEQ,
             reads=("raw_v1", "v1_list"),
             writes=(
                 "flags", "v1_list", "filter_params", "acc_meta",
@@ -225,28 +239,27 @@ class ClusterPolicy(SchedulingPolicy):
             ),
         )
         builder.add_task(
-            "ranks", partial(self._ranks, state), after=["prologue"],
-            span_strategy="cluster",
-            reads=("v1_list", "raw_v1", "filter_params", "comp_v1", "comp_v2", "comp_f"),
-            writes=("comp_v1", "comp_v2", "comp_f"),
-            opaque=True,
+            self.chains_label, partial(self._chains, state), after=["prologue"],
+            span_strategy=self.chains_strategy,
+            reads=_CHAIN_READS, writes=_CHAIN_WRITES, opaque=True,
         )
         builder.add_task(
-            "epilogue", partial(self._epilogue, state), after=["ranks"],
-            span_strategy="seq",
+            "epilogue", partial(self._epilogue, state), after=[self.chains_label],
+            span_strategy=SEQ,
+            reads=("filter_params",),
             writes=("filter_corrected", "maxvals", "maxvals2"),
         )
         graph = builder.build()
         regions = [
-            Region(label=name, tasks=(graph.task(name),), strategy=CUSTOM)
-            for name in ("prologue", "ranks", "epilogue")
+            Region(label=task.name, tasks=(task,), strategy=CUSTOM)
+            for task in graph.tasks
         ]
         return graph, regions
 
     @staticmethod
     def _prologue(ctx, result) -> None:
-        # Coordinator prologue (stages I, II, VII), sequential: these
-        # are milliseconds and must complete before ranks start.
+        # Stages I, II and VII, sequential: these are milliseconds and
+        # must complete before any chain starts.
         from repro.core.processes.p00_flags import run_p00
         from repro.core.processes.p01_gather import run_p01
         from repro.core.processes.p02_params import run_p02
@@ -263,8 +276,123 @@ class ClusterPolicy(SchedulingPolicy):
         run_p17(ctx)
         run_p11(ctx)
 
-    def _ranks(self, state: dict, ctx, result) -> None:
-        from repro.core.cluster_impl import _cluster_rank_body
+    def _chains(self, state: dict, ctx, result) -> None:
+        """Run every station chain; store the corner specs as
+        ``state["specs"]`` and a description as ``state["name"]``."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _epilogue(state: dict, ctx, result) -> None:
+        from repro.core.artifacts import (
+            FILTER_CORRECTED,
+            FILTER_PARAMS,
+            MAXVALS,
+            MAXVALS2,
+        )
+        from repro.core.auditing import unit_scope
+        from repro.core.runner import ProcessTiming
+        from repro.core.wavefront import _merge_suffixed
+        from repro.formats.params import (
+            FilterParams,
+            read_filter_params,
+            write_filter_params,
+        )
+
+        # Each merge is attributed to the process whose artifact it
+        # completes, so an audited run stays conformant.
+        with unit_scope("P10"):
+            base = read_filter_params(
+                ctx.workspace.work(FILTER_PARAMS), process="P10"
+            ).default
+            params = FilterParams(default=base)
+            for station, comp, spec in state["specs"]:
+                params.set_override(station, comp, spec)
+            write_filter_params(ctx.workspace.work(FILTER_CORRECTED), params)
+        with unit_scope("P4"):
+            _merge_suffixed(ctx.workspace, "max1", MAXVALS)
+        with unit_scope("P13"):
+            _merge_suffixed(ctx.workspace, "max2", MAXVALS2)
+        # The chains are the run's one unit of process work; their
+        # barrier duration was recorded when the middle region closed.
+        result.processes.append(
+            ProcessTiming(
+                pid=-1,
+                name=state["name"],
+                stage=state["stage"],
+                duration_s=result.stage_durations[state["stage"]],
+            )
+        )
+
+
+class WavefrontPolicy(StationChainPolicy):
+    """Station chains as one parallel loop (the paper's §VIII wavefront).
+
+    A station with a short record finishes its expensive response
+    stage while a big station is still filtering: no stage barrier
+    holds it back.
+    """
+
+    name = "wavefront-parallel"
+    description = "Wavefront: per-station pipelines, no stage barriers (§VIII)"
+    chains_label = "wavefront"
+    chains_strategy = LOOP
+
+    def _chains(self, state: dict, ctx, result) -> None:
+        from repro.core.processes.p03_separate import stations_from_list
+        from repro.core.wavefront import process_station_wavefront
+        from repro.parallel.omp import parallel_for
+
+        stations = stations_from_list(ctx.workspace)
+        per_station = parallel_for(
+            partial(process_station_wavefront, ctx),
+            list(enumerate(stations)),
+            backend=ctx.parallel.loop_backend,
+            num_workers=ctx.parallel.workers,
+            tracer=ctx.tracer,
+            span="station_pipeline",
+            metrics=ctx.metrics,
+        )
+        state["specs"] = [spec for specs in per_station for spec in specs]
+        state["name"] = "wavefront station pipelines"
+
+
+def _cluster_rank_body(comm, ctx) -> list:
+    """SPMD body: process this rank's round-robin share of stations."""
+    from repro.core.processes.p03_separate import stations_from_list
+    from repro.core.wavefront import process_station_wavefront
+
+    stations = stations_from_list(ctx.workspace) if comm.rank == 0 else None
+    stations = comm.bcast(stations, root=0)
+    specs = []
+    for index in range(comm.rank, len(stations), comm.size):
+        specs.extend(process_station_wavefront(ctx, (index, stations[index])))
+    gathered = comm.gather(specs, root=0)
+    comm.barrier()
+    if comm.rank == 0:
+        return [spec for rank_specs in gathered for spec in rank_specs]
+    return []
+
+
+class ClusterPolicy(StationChainPolicy):
+    """Station chains distributed across MPI-style SPMD ranks.
+
+    The architecture of the paper's related work [9] (Python + MPI
+    over a shared filesystem): rank 0 broadcasts the work list, every
+    rank runs its round-robin share of station chains, and the corner
+    specs are gathered back for the epilogue.  ``n_ranks`` defaults to
+    the context's worker count, clamped to the station count; one rank
+    runs inline, like a single-rank MPI job.
+    """
+
+    name = "cluster-parallel"
+    description = "Cluster: MPI-style ranks over a shared workspace"
+    chains_label = "ranks"
+    chains_strategy = "cluster"
+
+    def __init__(self, n_ranks: int | None = None) -> None:
+        self.n_ranks = n_ranks
+
+    def _chains(self, state: dict, ctx, result) -> None:
         from repro.core.processes.p03_separate import stations_from_list
         from repro.parallel.cluster import run_cluster
 
@@ -272,35 +400,8 @@ class ClusterPolicy(SchedulingPolicy):
         ranks = self.n_ranks if self.n_ranks is not None else ctx.parallel.workers
         ranks = max(1, min(ranks, len(stations)))
         per_rank = run_cluster(_cluster_rank_body, ranks, ctx, tracer=ctx.tracer)
-        state["ranks"] = ranks
         state["specs"] = per_rank[0]
-
-    @staticmethod
-    def _epilogue(state: dict, ctx, result) -> None:
-        from repro.core.artifacts import FILTER_CORRECTED, MAXVALS, MAXVALS2
-        from repro.core.runner import ProcessTiming
-        from repro.core.wavefront import _merge_suffixed
-        from repro.formats.params import FilterParams, write_filter_params
-
-        params = FilterParams(default=ctx.default_filter)
-        for station, comp, spec in state["specs"]:
-            params.set_override(station, comp, spec)
-        write_filter_params(ctx.workspace.work(FILTER_CORRECTED), params)
-        _merge_suffixed(ctx.workspace, "max1", MAXVALS)
-        _merge_suffixed(ctx.workspace, "max2", MAXVALS2)
-        tmp = ctx.workspace.tmp_dir
-        if tmp.exists() and not any(tmp.iterdir()):
-            tmp.rmdir()
-        # The ranks stage is the run's one unit of process work; its
-        # barrier duration was recorded when the ranks region closed.
-        result.processes.append(
-            ProcessTiming(
-                pid=-1,
-                name=f"{state['ranks']}-rank station pipelines",
-                stage="ranks",
-                duration_s=result.stage_durations["ranks"],
-            )
-        )
+        state["name"] = f"{ranks}-rank station pipelines"
 
 
 class GraphPolicy(SchedulingPolicy):
@@ -324,43 +425,14 @@ class GraphPolicy(SchedulingPolicy):
         return self._graph, self._graph.derive_regions()
 
 
-class LegacyPolicy(SchedulingPolicy):
-    """Adapter for implementations not yet expressed as task graphs.
-
-    The wavefront and incremental runners schedule work dynamically
-    (per-station pipelines, change detection) rather than as a static
-    barrier plan; this policy hands execution straight to the legacy
-    class so they still resolve through the one policy registry.
-    """
-
-    def __init__(self, impl_factory: Callable, name: str, description: str) -> None:
-        self._impl_factory = impl_factory
-        self.name = name
-        self.description = description
-
-    def plan(self, ctx) -> tuple[TaskGraph, list[Region]]:
-        raise PipelineError(
-            f"policy {self.name!r} schedules dynamically and does not expose "
-            "a static task graph"
-        )
-
-    def pipeline(self):
-        return self._impl_factory()
-
-
 # -- registry ---------------------------------------------------------------
 
 
-def _wavefront():
-    from repro.core.wavefront import WavefrontParallel
+def _incremental() -> SchedulingPolicy:
+    # Deferred: the memoizing plan lives with its state/cache helpers.
+    from repro.core.incremental import IncrementalPolicy
 
-    return WavefrontParallel()
-
-
-def _incremental():
-    from repro.core.incremental import IncrementalRunner
-
-    return IncrementalRunner()
+    return IncrementalPolicy()
 
 
 def _partial_strategies() -> dict[str, str]:
@@ -412,17 +484,13 @@ POLICIES: dict[str, Callable[[], SchedulingPolicy]] = {
     ),
     "dag-parallel": lambda: DerivedPolicy(),
     "cluster-parallel": lambda: ClusterPolicy(),
-    "wavefront-parallel": lambda: LegacyPolicy(
-        _wavefront,
-        "wavefront-parallel",
-        "Wavefront: per-station pipelines, no stage barriers (§VIII)",
-    ),
-    "incremental": lambda: LegacyPolicy(
-        _incremental,
-        "incremental",
-        "Incremental: skip processes whose inputs/outputs are unchanged",
-    ),
+    "wavefront-parallel": lambda: WavefrontPolicy(),
+    "incremental": _incremental,
 }
+
+#: The paper's four schemes, in presentation order (sequential
+#: baseline first) — the default set of every measurement harness.
+PAPER_POLICIES = ("seq-original", "seq-optimized", "partial-parallel", "full-parallel")
 
 
 def register_policy(name: str, factory: Callable[[], SchedulingPolicy]) -> None:

@@ -1,7 +1,7 @@
 """The performance-regression gate (``repro-perf``).
 
 ``record`` runs the synthetic catalog events through the paper's
-implementations — min-of-k wall-clock, per-stage timings with the
+schemes — min-of-k wall-clock, per-stage timings with the
 tracer's self-time split, resource and I/O summaries — and writes a
 canonical ``BENCH_<timestamp>.json``.  ``check`` compares two such
 documents with noise-aware per-metric-class thresholds and exits
@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.engine.policy import PAPER_POLICIES
+
 SCHEMA = "repro-bench/2"
 
 #: Schema versions :func:`validate_bench` accepts.  v2 added the
@@ -38,12 +40,6 @@ SCHEMA = "repro-bench/2"
 #: block per implementation entry; v1 documents (the committed seed
 #: baseline among them) still validate and compare.
 KNOWN_SCHEMAS = ("repro-bench/1", "repro-bench/2")
-
-#: Paper implementations measured by default, sequential baseline first.
-DEFAULT_IMPLEMENTATIONS = (
-    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
-)
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -179,7 +175,7 @@ def _measure_one(
 def record_bench(
     *,
     events: Sequence[Any] | None = None,
-    implementations: Sequence[str] = DEFAULT_IMPLEMENTATIONS,
+    implementations: Sequence[str] = PAPER_POLICIES,
     scale: float = 0.02,
     repeats: int = 2,
     periods: int = 30,
@@ -585,7 +581,7 @@ def _worst_stage_summary(
 def explain_event(
     event: Any,
     *,
-    implementations: Sequence[str] = DEFAULT_IMPLEMENTATIONS,
+    implementations: Sequence[str] = PAPER_POLICIES,
     scale: float = 0.02,
     periods: int = 30,
     backend: str = "thread",
@@ -639,10 +635,9 @@ def _add_record_options(parser: argparse.ArgumentParser) -> None:
         help="comma-separated catalog event ids, or 'all' (default)",
     )
     parser.add_argument(
-        "--policies", "--implementations", dest="implementations",
-        default=",".join(DEFAULT_IMPLEMENTATIONS),
-        help="comma-separated scheduling policy names "
-        "(--implementations is the deprecated alias)",
+        "--policies", dest="implementations",
+        default=",".join(PAPER_POLICIES),
+        help="comma-separated scheduling policy names",
     )
     parser.add_argument("--scale", type=float, default=0.02, help="workload scale")
     parser.add_argument(
@@ -726,10 +721,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--event", default="EV-NOV18", help="catalog event id")
     exp.add_argument(
-        "--policies", "--implementations", dest="implementations",
-        default=",".join(DEFAULT_IMPLEMENTATIONS),
-        help="comma-separated scheduling policy names "
-        "(--implementations is the deprecated alias)",
+        "--policies", dest="implementations",
+        default=",".join(PAPER_POLICIES),
+        help="comma-separated scheduling policy names",
     )
     exp.add_argument("--scale", type=float, default=0.02, help="workload scale")
     exp.add_argument("--periods", type=int, default=30, help="response-spectrum periods")

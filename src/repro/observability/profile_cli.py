@@ -53,18 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        "--implementation",
-        "-i",
-        dest="policy",
         default="full-parallel",
-        help="scheduling policy to profile (--implementation is the "
-        "deprecated alias; see repro.engine.policy_names())",
+        help="scheduling policy to profile (see repro.engine.policy_names())",
     )
     parser.add_argument(
         "--backend",
         default=Backend.THREAD.value,
         choices=[backend.value for backend in Backend],
-        help="backend for the parallel implementations",
+        help="backend for the parallel policies",
     )
     parser.add_argument("--workers", type=int, default=None, help="parallel worker count")
     parser.add_argument("--scale", type=float, default=0.05, help="dataset size scale")

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import IMPLEMENTATIONS
 from repro.core.context import ParallelSettings, RunContext
 from repro.core.verify import workspace_digests
+from repro.engine.policy import PAPER_POLICIES, policy_by_name
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -150,9 +150,7 @@ def _run_leg(
         resilience=plan,
     )
     _generate_inputs(event, scale, ctx.workspace.input_dir)
-    from repro.engine import pipeline_factory
-
-    result = pipeline_factory(impl_name)().run(ctx)
+    result = policy_by_name(impl_name).run(ctx)
     reports = sorted(result.quarantine, key=lambda r: r.record)
     run = ChaosRun(
         implementation=impl_name,
@@ -185,7 +183,7 @@ def chaos_soak(
     if event is None:
         event = PAPER_EVENTS[0]
     if implementations is None:
-        implementations = [impl.name for impl in IMPLEMENTATIONS]
+        implementations = list(PAPER_POLICIES)
     root = Path(root)
     legs = [(impl, backend) for impl in implementations for backend in backends]
 

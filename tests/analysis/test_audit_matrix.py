@@ -1,7 +1,7 @@
-"""The ISSUE acceptance matrix: every implementation audits clean.
+"""The audit acceptance matrix: every policy audits clean.
 
-Each of the five pipeline implementations runs an audited end-to-end
-pass over the tiny dataset under both the thread and the process
+Each of the paper's four schemes plus the wavefront runs an audited
+end-to-end pass over the tiny dataset under both the thread and the process
 backend; the recorded access logs must show zero undeclared accesses
 and zero conflicting concurrent accesses, and every observed per-
 process access set must be a subset of the registry declarations.
@@ -16,22 +16,16 @@ import pytest
 
 from repro.analysis import audit_findings, observed_access
 from repro.analysis.model import ERROR, WARNING
-from repro.core import implementation_by_name
 from repro.core.registry import PROCESSES
+from repro.engine import PAPER_POLICIES, policy_by_name
 
 from tests.conftest import make_context
 
-IMPLEMENTATIONS = (
-    "seq-original",
-    "seq-optimized",
-    "partial-parallel",
-    "full-parallel",
-    "wavefront-parallel",
-)
+POLICIES = PAPER_POLICIES + ("wavefront-parallel",)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("impl_name", IMPLEMENTATIONS)
+@pytest.mark.parametrize("impl_name", POLICIES)
 def test_audited_run_is_clean(
     impl_name: str, backend: str, tmp_path: Path, tiny_dataset_dir: Path
 ):
@@ -44,7 +38,7 @@ def test_audited_run_is_clean(
     for src in tiny_dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     ctx.audit = True
-    implementation_by_name(impl_name)().run(ctx)
+    policy_by_name(impl_name).run(ctx)
 
     root = ctx.workspace.root
     stations = sorted(p.stem for p in ctx.workspace.input_dir.glob("*.v1"))

@@ -135,6 +135,27 @@ def test_registered_policy_verifies_strict_clean(name):
     assert problems == [], [f.render() for f in problems]
 
 
+def test_unplannable_policy_is_an_error():
+    # A policy whose plan() raises is broken, not "dynamic": it must
+    # fail verification instead of passing as an advisory.
+    from repro.engine.policy import StagedPolicy
+
+    findings = verify_policy(StagedPolicy(name="x", strategies={"IX": "bogus"}))
+    assert [f.severity for f in findings] == [ERROR]
+    assert "unknown stage strategy 'bogus'" in findings[0].message
+
+
+def test_cli_graph_strict_fails_unplannable_policy(capsys):
+    from repro.engine.policy import POLICIES, StagedPolicy, register_policy
+
+    register_policy("broken", lambda: StagedPolicy(name="broken", strategies={"IX": "bogus"}))
+    try:
+        assert main_lint(["graph", "--policy", "broken", "--strict"]) == 1
+    finally:
+        POLICIES.pop("broken", None)
+    assert "[broken] FINDINGS" in capsys.readouterr().out
+
+
 def test_seq_original_rediscovers_the_redundant_processes():
     findings = verify_policy("seq-original")
     redundant = {f.process for f in findings if "redundant" in f.message}

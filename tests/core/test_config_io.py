@@ -121,7 +121,7 @@ class TestCliIntegration:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        rc = main_process([str(ws), "-i", "seq-optimized", "--config", str(cfg_path)])
+        rc = main_process([str(ws), "--policy", "seq-optimized", "--config", str(cfg_path)])
         assert rc == 0
         from repro.formats.response import read_response
         from repro.core import Workspace

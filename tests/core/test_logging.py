@@ -4,8 +4,7 @@ import logging
 
 import pytest
 
-from repro.core import SequentialOptimized
-from repro.core.incremental import IncrementalRunner
+from repro.engine import policy_by_name
 from repro.errors import PipelineError
 from tests.conftest import make_context
 
@@ -13,14 +12,14 @@ from tests.conftest import make_context
 class TestRunLogging:
     def test_start_and_finish_logged(self, workspace_with_input, caplog):
         with caplog.at_level(logging.INFO, logger="repro.core"):
-            SequentialOptimized().run(workspace_with_input)
+            policy_by_name("seq-optimized").run(workspace_with_input)
         messages = [r.message for r in caplog.records if r.name == "repro.core"]
         assert any("starting run" in m for m in messages)
         assert any("finished in" in m for m in messages)
 
     def test_per_process_debug_logging(self, workspace_with_input, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            SequentialOptimized().run(workspace_with_input)
+            policy_by_name("seq-optimized").run(workspace_with_input)
         messages = [r.message for r in caplog.records]
         assert any(m.startswith("P16 ") for m in messages)
 
@@ -29,13 +28,13 @@ class TestRunLogging:
         (ctx.workspace.input_dir / "BAD.v1").write_text("garbage\n")
         with caplog.at_level(logging.ERROR, logger="repro.core"):
             with pytest.raises(Exception):
-                SequentialOptimized().run(ctx)
+                policy_by_name("seq-optimized").run(ctx)
         assert any("run failed" in r.message for r in caplog.records)
 
     def test_incremental_skip_logging(self, workspace_with_input, caplog):
-        IncrementalRunner().run(workspace_with_input)
+        policy_by_name("incremental").run(workspace_with_input)
         with caplog.at_level(logging.DEBUG, logger="repro.core"):
-            IncrementalRunner().run(workspace_with_input)
+            policy_by_name("incremental").run(workspace_with_input)
         messages = [r.message for r in caplog.records]
         assert any("up to date, skipped" in m for m in messages)
         assert any("restored from the output cache" in m for m in messages)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.processes.p01_gather import run_p01
 from repro.core.processes.p02_params import run_p02
 from repro.core.processes.p03_separate import run_p03, stations_from_list
-from repro.core.staged import correction_instance, fourier_instance
+from repro.engine.executor import correction_instance, fourier_instance
 from repro.core.tempfolders import StagedInstance, run_staged_instance
 from repro.errors import MissingArtifactError, PipelineError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FullyParallel, SequentialOptimized, Workspace
+from repro.core import Workspace
 from repro.core.batch import BatchRunner, Bulletin, summarize_event_run
 from repro.core.context import ParallelSettings
 from repro.core.verify import (
@@ -11,6 +11,7 @@ from repro.core.verify import (
     verify_inventory,
     workspace_digests,
 )
+from repro.engine import policy_by_name
 from repro.errors import PipelineError
 from repro.synth.events import EventSpec
 from tests.conftest import TINY_EVENT, tiny_response_config
@@ -95,7 +96,7 @@ class TestBatchRunner:
             EventSpec("EV-B2", "2024-01-19", 5.6, 2, 16_000, seed=102),
         ]
         runner = BatchRunner(
-            implementation=FullyParallel(),
+            implementation=policy_by_name("full-parallel").pipeline(),
             root=tmp_path_factory.mktemp("batch"),
             scale=0.2,
             response_config=tiny_response_config(),
@@ -129,7 +130,7 @@ class TestBatchRunner:
         assert out.read_text().startswith("January 2024 bulletin")
 
     def test_empty_catalog_rejected(self, tmp_path):
-        runner = BatchRunner(implementation=SequentialOptimized(), root=tmp_path)
+        runner = BatchRunner(implementation=policy_by_name("seq-optimized").pipeline(), root=tmp_path)
         with pytest.raises(PipelineError):
             runner.run([])
 

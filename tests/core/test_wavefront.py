@@ -1,24 +1,24 @@
-"""Tests for the wavefront extension (paper §VIII future work)."""
+"""Tests for the wavefront policy (paper §VIII future work)."""
 
 import shutil
 
 import pytest
 
-from repro.core import SequentialOptimized, WavefrontParallel, implementation_by_name
 from repro.core.context import ParallelSettings
+from repro.engine import WavefrontPolicy, policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
 @pytest.fixture(scope="module")
 def wavefront_and_reference(tmp_path_factory, tiny_dataset_dir):
     runs = {}
-    for impl_cls in (SequentialOptimized, WavefrontParallel):
-        root = tmp_path_factory.mktemp(f"wf-{impl_cls.name}") / "ws"
+    for name in ("seq-optimized", "wavefront-parallel"):
+        root = tmp_path_factory.mktemp(f"wf-{name}") / "ws"
         ctx = make_context(root, parallel=ParallelSettings(num_workers=3))
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
-        result = impl_cls().run(ctx)
-        runs[impl_cls.name] = (ctx, result)
+        result = policy_by_name(name).run(ctx)
+        runs[name] = (ctx, result)
     return runs
 
 
@@ -45,7 +45,7 @@ class TestWavefrontEquality:
         assert result.stage_durations["wavefront"] > 0
 
     def test_registered_by_name(self):
-        assert implementation_by_name("wavefront-parallel") is WavefrontParallel
+        assert isinstance(policy_by_name("wavefront-parallel"), WavefrontPolicy)
 
 
 class TestWavefrontSimulation:

@@ -1,10 +1,11 @@
-"""Engine-vs-legacy equivalence matrix.
+"""Policy equivalence matrix.
 
-Four policies on both executor backends must produce byte-identical
-final artifacts from the same inputs, and — under one injected
-:class:`FaultPlan` — converge to the same quarantine signature and
-retry totals.  This is the paper's equivalence claim restated for the
-engine: the schedule may change, the outputs may not.
+Every registered policy on both executor backends must produce
+byte-identical final artifacts from the same inputs, and four of them
+— under one injected :class:`FaultPlan` — converge to the same
+quarantine signature and retry totals.  This is the paper's
+equivalence claim restated for the engine: the schedule may change,
+the outputs may not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.context import ParallelSettings
-from repro.engine import pipeline_factory
+from repro.engine import pipeline_factory, policy_names
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -24,7 +25,10 @@ from tests.conftest import hash_tree, make_context
 
 POLICIES = ("seq-optimized", "partial-parallel", "full-parallel", "dag-parallel")
 BACKENDS = ("thread", "process")
+#: Fault-plan legs.
 LEGS = [(policy, backend) for policy in POLICIES for backend in BACKENDS]
+#: Clean legs: every registered policy.
+CLEAN_LEGS = [(policy, backend) for policy in policy_names() for backend in BACKENDS]
 
 FAULT_SEED = 1234
 
@@ -59,7 +63,7 @@ def clean_matrix(tmp_path_factory: pytest.TempPathFactory, tiny_dataset_dir: Pat
     """One clean run per (policy, backend) leg, shared read-only."""
     base = tmp_path_factory.mktemp("engine-matrix")
     runs = {}
-    for policy, backend in LEGS:
+    for policy, backend in CLEAN_LEGS:
         root = base / f"{policy}-{backend}"
         runs[(policy, backend)] = _run_leg(root, policy, backend, tiny_dataset_dir)
     return runs
@@ -84,10 +88,17 @@ def test_clean_matrix_reports_no_faults(clean_matrix) -> None:
 
 
 def test_clean_matrix_times_every_scheduled_process(clean_matrix) -> None:
-    from repro.core.registry import OPTIMIZED_ORDER
+    from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER
 
     for leg, (_, result, _) in clean_matrix.items():
-        assert sorted(t.pid for t in result.processes) == sorted(OPTIMIZED_ORDER), leg
+        policy = leg[0]
+        if policy == "seq-original":
+            expected = sorted(ORIGINAL_ORDER)
+        elif policy in ("wavefront-parallel", "cluster-parallel"):
+            expected = [-1]  # the station chains, timed as one row
+        else:
+            expected = sorted(OPTIMIZED_ORDER)
+        assert sorted(t.pid for t in result.processes) == expected, leg
 
 
 def test_faulty_matrix_converges(

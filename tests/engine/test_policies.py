@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import implementation_by_name
 from repro.core.dependencies import parallelizable_sets
 from repro.core.registry import OPTIMIZED_ORDER, ORIGINAL_ORDER
 from repro.core.stages import FULL_PARALLEL_STAGES, PARTIAL_PARALLEL_STAGES, STAGES
@@ -24,7 +23,6 @@ from repro.engine import (
     resolve_policy,
 )
 from repro.engine.policy import POLICIES, SequentialPolicy
-from repro.errors import PipelineError
 
 
 class TestRegistry:
@@ -53,7 +51,7 @@ class TestRegistry:
 
     def test_unknown_implementation_lists_names_and_suggests(self):
         with pytest.raises(ValueError) as excinfo:
-            implementation_by_name("ful-parallel")
+            policy_by_name("ful-parallel")
         message = str(excinfo.value)
         assert "known" in message
         assert "did you mean 'full-parallel'?" in message
@@ -106,6 +104,8 @@ class TestPlans:
             "full-parallel-fused",
             "dag-parallel",
             "cluster-parallel",
+            "wavefront-parallel",
+            "incremental",
         ],
     )
     def test_every_static_plan_validates(self, name: str):
@@ -171,13 +171,22 @@ class TestPlans:
         assert graph.has_edge("prologue", "ranks")
         assert graph.has_edge("ranks", "epilogue")
 
-    @pytest.mark.parametrize("name", ["wavefront-parallel", "incremental"])
-    def test_dynamic_policies_refuse_static_plans(self, name: str):
-        policy = policy_by_name(name)
-        with pytest.raises(PipelineError, match="schedules dynamically"):
-            policy.plan(ctx=None)
-        # ...but still resolve to a runnable implementation.
-        assert policy.pipeline().name == name
+    def test_wavefront_plan_shares_the_cluster_shape(self):
+        graph, regions = _plan("wavefront-parallel")
+        assert [r.label for r in regions] == ["prologue", "wavefront", "epilogue"]
+        assert graph.has_edge("prologue", "wavefront")
+        assert graph.has_edge("wavefront", "epilogue")
+        # Only the middle task differs from the cluster plan.
+        _, cluster = _plan("cluster-parallel")
+        assert regions[0].tasks[0].run is cluster[0].tasks[0].run
+        assert [r.tasks[0].span_strategy for r in regions] == ["seq", "loop", "seq"]
+
+    def test_incremental_plan_has_one_region_per_process(self):
+        graph, regions = _plan("incremental")
+        assert [r.label for r in regions] == [f"P{pid}" for pid in OPTIMIZED_ORDER]
+        assert all(len(r.tasks) == 1 for r in regions)
+        # The memoizing tasks keep the derived dependency edges.
+        assert graph.has_edge("P4", "P7") and graph.has_edge("P13", "P16")
 
     def test_plan_types(self):
         graph, regions = _plan("full-parallel")

@@ -1,11 +1,10 @@
-"""Error-path ergonomics: did-you-mean lookups, the ``implementation=``
-deprecation shim, duplicate-registration diagnostics, fuse labels."""
+"""Error-path ergonomics: did-you-mean lookups, duplicate-registration
+diagnostics, fuse labels."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.runner import PipelineImplementation
 from repro.engine.graph import PipelineBuilder
 from repro.engine.policy import policy_by_name, resolve_policy
 from repro.errors import DependencyError
@@ -29,37 +28,6 @@ class TestDidYouMean:
     def test_resolve_policy_rejects_wrong_type(self):
         with pytest.raises(ValueError, match="got int"):
             resolve_policy(7)
-
-
-class TestImplementationShim:
-    def test_implementation_string_warns_and_resolves(self):
-        from repro.api import _resolve_pipeline
-
-        with pytest.warns(DeprecationWarning, match="policy='seq-optimized'"):
-            pipeline = _resolve_pipeline("seq-optimized", None)
-        assert isinstance(pipeline, PipelineImplementation)
-
-    def test_both_set_is_an_error(self):
-        from repro.api import _resolve_pipeline
-
-        with pytest.raises(ValueError, match="not both"):
-            _resolve_pipeline("seq-optimized", "dag-parallel")
-
-    def test_bad_implementation_type_is_an_error(self):
-        from repro.api import _resolve_pipeline
-
-        with pytest.raises(ValueError, match="got int"):
-            _resolve_pipeline(7, None)
-
-    def test_policy_path_does_not_warn(self):
-        import warnings
-
-        from repro.api import _resolve_pipeline
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipeline = _resolve_pipeline(None, "seq-optimized")
-        assert isinstance(pipeline, PipelineImplementation)
 
 
 class TestDuplicateRegistrationSites:

@@ -15,7 +15,7 @@ class TestProcessCli:
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ws / "input" / src.name)
         rc = main_process(
-            [str(ws), "-i", "seq-optimized", "--periods", "10", "--workers", "2"]
+            [str(ws), "--policy", "seq-optimized", "--periods", "10", "--workers", "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -27,7 +27,7 @@ class TestProcessCli:
         rc = main_process(
             [
                 str(ws),
-                "-i",
+                "--policy",
                 "full-parallel",
                 "--generate-event",
                 "EV-NOV18",
@@ -46,7 +46,12 @@ class TestProcessCli:
 
     def test_unknown_implementation_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main_process([str(tmp_path), "-i", "warp-speed"])
+            main_process([str(tmp_path), "--policy", "warp-speed"])
+
+    @pytest.mark.parametrize("flag", ["-i", "--implementation"])
+    def test_removed_implementation_flag_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit):
+            main_process([str(tmp_path), flag, "full-parallel"])
 
     def test_trace_flag_writes_chrome_trace(self, tmp_path, tiny_dataset_dir, capsys):
         import json
@@ -58,7 +63,7 @@ class TestProcessCli:
         trace_path = tmp_path / "run.trace.json"
         rc = main_process(
             [
-                str(ws), "-i", "full-parallel", "--periods", "8",
+                str(ws), "--policy", "full-parallel", "--periods", "8",
                 "--workers", "2", "--trace", str(trace_path),
             ]
         )
@@ -138,7 +143,7 @@ class TestBenchCli:
         (ws / "input").mkdir(parents=True)
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ws / "input" / src.name)
-        args = [str(ws), "-i", "incremental", "--periods", "8", "--workers", "2"]
+        args = [str(ws), "--policy", "incremental", "--periods", "8", "--workers", "2"]
         assert main_process(args) == 0
         # Second invocation: warm, near-instant, still exits cleanly.
         assert main_process(args) == 0

@@ -1,11 +1,11 @@
 """Failure injection: broken inputs must surface typed errors, not
-silent corruption, in every implementation."""
+silent corruption, under every policy."""
 
 import shutil
 
 import pytest
 
-from repro.core import FullyParallel, SequentialOptimized
+from repro.engine import policy_by_name
 from repro.errors import FormatError, PipelineError, ReproError
 from tests.conftest import make_context
 
@@ -22,7 +22,7 @@ class TestMissingInput:
     def test_empty_workspace_rejected(self, tmp_path):
         ctx = make_context(tmp_path / "ws")
         with pytest.raises(PipelineError):
-            SequentialOptimized().run(ctx)
+            policy_by_name("seq-optimized").run(ctx)
 
     def test_missing_input_dir_rejected(self, tmp_path):
         from repro.core import RunContext, Workspace
@@ -30,23 +30,23 @@ class TestMissingInput:
         ctx = make_context(tmp_path / "ws")
         shutil.rmtree(ctx.workspace.input_dir)
         with pytest.raises(PipelineError):
-            SequentialOptimized().run(ctx)
+            policy_by_name("seq-optimized").run(ctx)
 
 
 class TestCorruptInput:
-    @pytest.mark.parametrize("impl_cls", [SequentialOptimized, FullyParallel])
-    def test_truncated_v1_raises_format_error(self, ctx_with_data, impl_cls):
+    @pytest.mark.parametrize("policy", ["seq-optimized", "full-parallel"])
+    def test_truncated_v1_raises_format_error(self, ctx_with_data, policy):
         victim = next(ctx_with_data.workspace.input_dir.glob("*.v1"))
         text = victim.read_text().splitlines()
         victim.write_text("\n".join(text[: len(text) // 2]) + "\n")
         with pytest.raises(ReproError):
-            impl_cls().run(ctx_with_data)
+            policy_by_name(policy).run(ctx_with_data)
 
     def test_garbage_v1_raises_header_error(self, ctx_with_data):
         victim = next(ctx_with_data.workspace.input_dir.glob("*.v1"))
         victim.write_text("this is not a strong-motion record\n")
         with pytest.raises(FormatError):
-            SequentialOptimized().run(ctx_with_data)
+            policy_by_name("seq-optimized").run(ctx_with_data)
 
     def test_numeric_corruption_detected(self, ctx_with_data):
         victim = next(ctx_with_data.workspace.input_dir.glob("*.v1"))
@@ -59,7 +59,7 @@ class TestCorruptInput:
                 break
         victim.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
-            SequentialOptimized().run(ctx_with_data)
+            policy_by_name("seq-optimized").run(ctx_with_data)
 
 
 class TestMidPipelineDamage:

@@ -14,7 +14,8 @@ design), update the goldens in the same commit and say why.
 import numpy as np
 import pytest
 
-from repro.core import RunContext, SequentialOptimized
+from repro.core import RunContext
+from repro.engine import policy_by_name
 from repro.formats.params import read_filter_params
 from repro.formats.response import read_response
 from repro.formats.v2 import read_v2
@@ -47,7 +48,7 @@ def golden_run(tmp_path_factory):
         ),
     )
     generate_event_dataset(GOLD_EVENT, ctx.workspace.input_dir)
-    SequentialOptimized().run(ctx)
+    policy_by_name("seq-optimized").run(ctx)
     return ctx
 
 

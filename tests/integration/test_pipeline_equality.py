@@ -1,5 +1,5 @@
-"""The reproduction's central integration claim: all four
-implementations produce byte-identical final artifacts (paper §IV:
+"""The reproduction's central integration claim: the paper's four
+schemes produce byte-identical final artifacts (paper §IV:
 the optimization "has no impact on the final output"; §V/§VI: the
 parallelizations preserve it too)."""
 
@@ -7,26 +7,21 @@ import shutil
 
 import pytest
 
-from repro.core import (
-    FullyParallel,
-    PartiallyParallel,
-    SequentialOptimized,
-    SequentialOriginal,
-)
+from repro.engine import PAPER_POLICIES, policy_by_name
 from tests.conftest import hash_tree, make_context
 
 
 @pytest.fixture(scope="module")
 def all_runs(tmp_path_factory, tiny_dataset_dir):
-    """Run every implementation once on identical inputs."""
+    """Run every paper scheme once on identical inputs."""
     results = {}
-    for impl_cls in (SequentialOriginal, SequentialOptimized, PartiallyParallel, FullyParallel):
-        root = tmp_path_factory.mktemp(f"eq-{impl_cls.name}") / "ws"
+    for name in PAPER_POLICIES:
+        root = tmp_path_factory.mktemp(f"eq-{name}") / "ws"
         ctx = make_context(root)
         for src in tiny_dataset_dir.glob("*.v1"):
             shutil.copy2(src, ctx.workspace.input_dir / src.name)
-        result = impl_cls().run(ctx)
-        results[impl_cls.name] = (ctx, result)
+        result = policy_by_name(name).run(ctx)
+        results[name] = (ctx, result)
     return results
 
 

@@ -16,16 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import implementation_by_name
 from repro.core.context import ParallelSettings
+from repro.engine import PAPER_POLICIES, policy_by_name
 from repro.observability.metrics import MetricsRegistry
 
 from tests.conftest import SINGLE_EVENT, make_context
-
-IMPLEMENTATIONS = (
-    "seq-original", "seq-optimized", "partial-parallel", "full-parallel",
-)
-
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
@@ -44,11 +39,11 @@ def metered_run(tmp_path: Path, dataset_dir: Path, impl_name: str, backend: str)
     for src in dataset_dir.glob("*.v1"):
         shutil.copy2(src, ctx.workspace.input_dir / src.name)
     ctx.metrics = MetricsRegistry()
-    implementation_by_name(impl_name)().run(ctx)
+    policy_by_name(impl_name).run(ctx)
     return ctx.metrics
 
 
-@pytest.mark.parametrize("impl_name", IMPLEMENTATIONS)
+@pytest.mark.parametrize("impl_name", PAPER_POLICIES)
 @pytest.mark.parametrize(
     "backend",
     ["thread", pytest.param("process", marks=pytest.mark.slow)],

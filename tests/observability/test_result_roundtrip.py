@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.core import ALL_IMPLEMENTATIONS, implementation_by_name
 from repro.core.runner import PipelineResult, ProcessTiming
+from repro.engine import policy_by_name, policy_names
 from repro.observability.tracer import Tracer
 
 
@@ -57,8 +57,8 @@ def test_round_trip_survives_json(tmp_path) -> None:
 
 def test_unknown_implementation_error_lists_names() -> None:
     with pytest.raises(ValueError) as excinfo:
-        implementation_by_name("no-such-impl")
+        policy_by_name("no-such-impl")
     message = str(excinfo.value)
     assert "no-such-impl" in message
-    for impl in ALL_IMPLEMENTATIONS:
-        assert impl.name in message
+    for name in policy_names():
+        assert name in message

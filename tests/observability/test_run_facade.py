@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import RunContext, SequentialOptimized
+from repro.core import RunContext
 from repro.core.context import ParallelSettings
+from repro.engine import policy_by_name
 from repro.parallel.backend import Backend
 
 from tests.conftest import SINGLE_EVENT, make_context, tiny_response_config
@@ -82,10 +83,12 @@ def test_profile_path_writes_speedscope(facade_workspace: Path, tmp_path: Path) 
         assert result.profile.attributed_fraction() >= 0.95
 
 
-def test_implementation_class_and_instance(facade_workspace: Path) -> None:
-    by_class = repro.run(facade_workspace, SequentialOptimized, response_periods=12)
-    by_instance = repro.run(facade_workspace, SequentialOptimized(), response_periods=12)
-    assert by_class.implementation == by_instance.implementation == "seq-optimized"
+def test_policy_name_and_instance(facade_workspace: Path) -> None:
+    by_name = repro.run(facade_workspace, policy="seq-optimized", response_periods=12)
+    by_instance = repro.run(
+        facade_workspace, policy=policy_by_name("seq-optimized"), response_periods=12
+    )
+    assert by_name.implementation == by_instance.implementation == "seq-optimized"
 
 
 def test_backend_accepts_enum(facade_workspace: Path) -> None:
@@ -119,17 +122,9 @@ def test_unknown_policy_propagates() -> None:
         repro.run("anywhere", policy="bogus-policy")
 
 
-def test_implementation_string_deprecated(facade_workspace: Path) -> None:
-    # The pre-engine positional spelling still runs, but warns with the
-    # policy= replacement.
-    with pytest.warns(DeprecationWarning, match="policy='seq-optimized'"):
-        result = repro.run(facade_workspace, "seq-optimized", response_periods=12)
-    assert result.implementation == "seq-optimized"
-
-
-def test_implementation_and_policy_conflict(facade_workspace: Path) -> None:
-    with pytest.raises(ValueError, match="not both"):
-        repro.run(facade_workspace, "seq-optimized", policy="seq-optimized")
+def test_policy_is_keyword_only(facade_workspace: Path) -> None:
+    with pytest.raises(TypeError):
+        repro.run(facade_workspace, "seq-optimized")
 
 
 def test_facade_is_exported() -> None:

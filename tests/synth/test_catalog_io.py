@@ -77,7 +77,7 @@ class TestBulletinCli:
                 "10",
                 "--workers",
                 "2",
-                "-i",
+                "--policy",
                 "seq-optimized",
                 "--out",
                 str(out),
