@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.core import RunContext
 from repro.core.context import ParallelSettings
-from repro.engine import pipeline_factory, policy_names
+from repro.engine import PAPER_POLICIES, pipeline_factory, policy_names
 from repro.parallel.backend import Backend
 from repro.spectra.response import ResponseSpectrumConfig, default_periods
 
@@ -257,9 +257,11 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         help="additionally render the figure (or schedule Gantt) as PostScript",
     )
     parser.add_argument(
-        "--implementation",
+        "--policy",
         default="full-parallel",
-        help="implementation for 'schedule' rendering",
+        choices=(*PAPER_POLICIES, "wavefront-parallel"),
+        help="scheduling policy for 'schedule' rendering (the five the "
+        "simulator models)",
     )
     return parser
 
@@ -309,7 +311,7 @@ def main_bench(argv: list[str] | None = None) -> int:
         from repro.bench.render import render_schedule_ps
 
         out = args.render or "schedule.ps"
-        render_schedule_ps(out, implementation=args.implementation)
+        render_schedule_ps(out, implementation=args.policy)
         print(f"rendered {out}")
     elif args.experiment == "pipeline-map":
         from repro.core.pipeline_map import render_pipeline_map
@@ -352,30 +354,13 @@ def main_bench(argv: list[str] | None = None) -> int:
         )
         print(f"\nCritical-path (infinite workers) speedup bound: {amdahl_bound():.2f}x")
     elif args.experiment == "measured":
-        if args.all_events:
-            from repro.bench.measured_table import measured_table, render_measured_table
+        from repro.bench.harness import measure_implementations, render_measured
+        from repro.synth.events import PAPER_EVENTS
 
-            rows = measured_table(scale=args.scale)
-            print(f"Measured mode, all six events at scale {args.scale:g} "
-                  f"(real wall-clock on this machine)")
-            print(render_measured_table(rows))
-        else:
-            from repro.bench.harness import measure_implementations
-            from repro.bench.report import format_table
-            from repro.synth.events import PAPER_EVENTS
-
-            row = measure_implementations(PAPER_EVENTS[0], scale=args.scale)
-            print(
-                f"Measured mode ({row.event_id}: {row.n_files} files, "
-                f"{row.total_points} points)"
-            )
-            print(
-                format_table(
-                    ("implementation", "wall s"),
-                    [(name, t) for name, t in row.times_s.items()],
-                )
-            )
-            print(f"end-to-end speedup on this machine: {row.speedup:.2f}x")
+        events = PAPER_EVENTS if args.all_events else PAPER_EVENTS[:1]
+        rows = [measure_implementations(event, scale=args.scale) for event in events]
+        print(f"Measured mode at scale {args.scale:g} (real wall-clock on this machine)")
+        print(render_measured(rows))
     return 0
 
 

@@ -23,9 +23,7 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,47 +82,12 @@ METRIC_CLASSES: dict[str, Thresholds] = {
 # -- recording -------------------------------------------------------------
 
 
-def _run_once(
-    impl_cls: Any, event: Any, workload: Any, *, periods: int, backend: str,
-    workers: int | None, sample_interval: float, profile_hz: float | None = None,
-) -> tuple[Any, Any, Any]:
-    """One traced, metered (optionally profiled) repetition in a fresh
-    workspace; returns ``(result, metrics registry, resource log)``."""
-    from repro.bench.harness import small_response_config
-    from repro.bench.workloads import materialize
-    from repro.core import RunContext
-    from repro.core.context import ParallelSettings
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.profiling import SamplingProfiler
-    from repro.observability.resources import ResourceSampler
-    from repro.observability.tracer import Tracer
-
-    base = Path(tempfile.mkdtemp(prefix="repro-perf-"))
-    try:
-        ctx = RunContext.for_directory(
-            base / "ws",
-            response_config=small_response_config(n_periods=periods),
-            parallel=ParallelSettings.uniform(backend, num_workers=workers),
-        )
-        ctx.tracer = Tracer()
-        ctx.metrics = MetricsRegistry()
-        if profile_hz:
-            ctx.profiler = SamplingProfiler(hz=profile_hz)
-        materialize(event, workload, ctx.workspace.input_dir)
-        sampler = ResourceSampler(interval_s=sample_interval, tracer=ctx.tracer)
-        with sampler:
-            result = impl_cls().run(ctx)
-        log = sampler.log()
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-    return result, ctx.metrics, log
-
-
 def _measure_one(
-    impl_cls: Any, event: Any, workload: Any, *, periods: int, backend: str,
+    event: Any, policy: str, *, scale: float, periods: int, backend: str,
     workers: int | None, sample_interval: float, profile_hz: float | None = None,
 ) -> dict[str, Any]:
     """One repetition summarized as a bench-document cell."""
+    from repro.bench.harness import traced_run
     from repro.observability.critpath import (
         critical_path,
         critical_path_length,
@@ -132,8 +95,8 @@ def _measure_one(
     )
     from repro.observability.resources import resources_available
 
-    result, registry, log = _run_once(
-        impl_cls, event, workload, periods=periods, backend=backend,
+    result, registry, log = traced_run(
+        event, policy, scale=scale, periods=periods, backend=backend,
         workers=workers, sample_interval=sample_interval, profile_hz=profile_hz,
     )
     trace = result.trace
@@ -193,7 +156,6 @@ def record_bench(
     profiler and each cell embeds its top-frame summary.
     """
     from repro.bench.workloads import scaled_workload
-    from repro.engine import pipeline_factory
     from repro.synth.events import PAPER_EVENTS
 
     events = list(events) if events is not None else list(PAPER_EVENTS)
@@ -225,10 +187,9 @@ def record_bench(
             "implementations": {},
         }
         for name in implementations:
-            impl_cls = pipeline_factory(name)
             reps = [
                 _measure_one(
-                    impl_cls, event, workload, periods=periods, backend=backend,
+                    event, name, scale=scale, periods=periods, backend=backend,
                     workers=workers, sample_interval=sample_interval,
                     profile_hz=profile_hz,
                 )
@@ -596,18 +557,15 @@ def explain_event(
     measured speedup against the ``seq-original`` run of the same
     batch.  Returns ``(name, report, measured speedup)`` triples.
     """
-    from repro.bench.workloads import scaled_workload
-    from repro.engine import pipeline_factory
+    from repro.bench.harness import traced_run
     from repro.observability.critpath import explain as build_explain
     from repro.parallel.backend import resolve_workers
 
-    workload = scaled_workload(event, scale)
     measured: list[tuple[str, dict[str, Any], float]] = []
     for name in implementations:
-        result, _registry, _log = _run_once(
-            pipeline_factory(name), event, workload, periods=periods,
-            backend=backend, workers=workers, sample_interval=0.05,
-            profile_hz=profile_hz,
+        result, _registry, _log = traced_run(
+            event, name, scale=scale, periods=periods, backend=backend,
+            workers=workers, profile_hz=profile_hz,
         )
         report = build_explain(
             result.trace, resolve_workers(workers), profile=result.profile, top=top

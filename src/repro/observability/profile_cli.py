@@ -18,28 +18,24 @@ profiler supports next to each other:
     ``repro-perf explain`` prints.
 
 ``--overhead-check`` instead times bare runs against profiled runs
-(min-of-k each) and fails when the profiler costs more than the
-tolerance — the guard CI uses to keep "negligible when off, cheap when
-on" an enforced property rather than a hope.
+(one warm-up, then interleaved min-of-k, via
+:func:`repro.bench.harness.overhead_check`) and fails when the
+profiler costs more than the tolerance — the guard CI uses to keep
+"negligible when off, cheap when on" an enforced property rather than
+a hope.
 """
 
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
-import tempfile
 from pathlib import Path
-from typing import Any
 
 from repro.parallel.backend import Backend
 
-#: Relative profiler overhead ceiling for ``--overhead-check``.
+#: Relative profiler overhead ceiling for ``--overhead-check`` (the
+#: absolute noise floor is the harness's ``OVERHEAD_FLOOR_S``).
 OVERHEAD_TOLERANCE = 0.10
-#: Absolute floor (seconds) under which an overhead delta is noise:
-#: scheduler jitter on a sub-second run can exceed 10% relative
-#: without saying anything about the profiler.
-OVERHEAD_FLOOR_S = 0.05
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,76 +82,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bare_run_seconds(
-    impl_cls: Any, event: Any, workload: Any, *, periods: int, backend: str,
-    workers: int | None, profile_hz: float | None,
-) -> float:
-    """Wall-clock of one un-traced run, optionally profiled.
-
-    Deliberately leaves tracer and metrics off so the comparison
-    isolates the sampler's own cost.
-    """
-    from repro.bench.harness import small_response_config
-    from repro.bench.workloads import materialize
-    from repro.core import RunContext
-    from repro.core.context import ParallelSettings
-
-    base = Path(tempfile.mkdtemp(prefix="repro-profile-"))
-    try:
-        ctx = RunContext.for_directory(
-            base / "ws",
-            response_config=small_response_config(n_periods=periods),
-            parallel=ParallelSettings.uniform(backend, num_workers=workers),
-        )
-        if profile_hz:
-            from repro.observability.profiling import SamplingProfiler
-
-            ctx.profiler = SamplingProfiler(hz=profile_hz)
-        materialize(event, workload, ctx.workspace.input_dir)
-        result = impl_cls().run(ctx)
-        return result.total_s
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-
-
 def _overhead_check(args: argparse.Namespace) -> int:
-    from repro.bench.workloads import scaled_workload
-    from repro.engine import pipeline_factory
+    from repro.bench.harness import overhead_check
+    from repro.observability.profiling import SamplingProfiler
     from repro.synth.events import paper_event
 
-    event = paper_event(args.event)
-    workload = scaled_workload(event, args.scale)
-    impl_cls = pipeline_factory(args.policy)
-    run = lambda hz: _bare_run_seconds(  # noqa: E731 - tiny local closure
-        impl_cls, event, workload, periods=args.periods,
-        backend=args.backend, workers=args.workers, profile_hz=hz,
+    def profiled(ctx) -> None:
+        ctx.profiler = SamplingProfiler(hz=args.hz)
+
+    return overhead_check(
+        paper_event(args.event), args.policy, instrument=profiled,
+        tolerance=OVERHEAD_TOLERANCE, label="profiled", subject="profiler",
+        note=f"{args.hz:g} Hz", scale=args.scale, periods=args.periods,
+        backend=args.backend, workers=args.workers, repeats=args.repeats,
     )
-    # Interleave the arms so drift (cache warmup, thermal) hits both.
-    bare: list[float] = []
-    profiled: list[float] = []
-    for _ in range(max(1, args.repeats)):
-        bare.append(run(None))
-        profiled.append(run(args.hz))
-    base_s = min(bare)
-    prof_s = min(profiled)
-    delta = prof_s - base_s
-    rel = delta / base_s if base_s > 0 else 0.0
-    print(
-        f"{args.policy} on {args.event} ({args.backend}, "
-        f"{args.hz:g} Hz, min of {len(bare)}):"
-    )
-    print(f"  bare     {base_s:.4f} s")
-    print(f"  profiled {prof_s:.4f} s")
-    print(f"  overhead {delta:+.4f} s ({rel:+.1%})")
-    if rel > OVERHEAD_TOLERANCE and delta > OVERHEAD_FLOOR_S:
-        print(
-            f"FAIL: profiler overhead beyond {OVERHEAD_TOLERANCE:.0%} "
-            f"(and above the {OVERHEAD_FLOOR_S:g} s noise floor)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: within {OVERHEAD_TOLERANCE:.0%} tolerance")
-    return 0
 
 
 def main_profile(argv: list[str] | None = None) -> int:
@@ -164,21 +104,17 @@ def main_profile(argv: list[str] | None = None) -> int:
     if args.overhead_check:
         return _overhead_check(args)
 
-    from repro.bench.workloads import scaled_workload
-    from repro.engine import pipeline_factory
+    from repro.bench.harness import traced_run
     from repro.observability.critpath import explain, render_explain
     from repro.observability.export import write_chrome_trace
-    from repro.observability.perf import _run_once
     from repro.observability.profiling import write_collapsed, write_speedscope
     from repro.parallel.backend import resolve_workers
     from repro.synth.events import paper_event
 
-    event = paper_event(args.event)
-    workload = scaled_workload(event, args.scale)
-    result, _metrics, log = _run_once(
-        pipeline_factory(args.policy), event, workload,
+    result, _metrics, log = traced_run(
+        paper_event(args.event), args.policy, scale=args.scale,
         periods=args.periods, backend=args.backend, workers=args.workers,
-        sample_interval=0.05, profile_hz=args.hz,
+        profile_hz=args.hz,
     )
     profile = result.profile
     trace = result.trace

@@ -361,18 +361,13 @@ def main_report(argv: list[str] | None = None) -> int:
         print(f"wrote {out}")
         return 0
 
-    from repro.bench.workloads import scaled_workload
-    from repro.engine import pipeline_factory
-    from repro.observability.perf import _run_once
+    from repro.bench.harness import traced_run
     from repro.parallel.backend import resolve_workers
     from repro.synth.events import paper_event
 
-    event = paper_event(args.event)
-    workload = scaled_workload(event, args.scale)
-    result, metrics, _log = _run_once(
-        pipeline_factory(args.policy), event, workload,
+    result, metrics, _log = traced_run(
+        paper_event(args.event), args.policy, scale=args.scale,
         periods=args.periods, backend=args.backend, workers=args.workers,
-        sample_interval=0.05,
     )
     title = args.title or f"{args.event} — {args.policy} ({args.backend})"
     out = write_html_report(

@@ -16,9 +16,11 @@ tails the ``.events/`` shard logs while the run executes, rendering
 Everything is split in two layers so it can be tested offline: the pure
 :class:`RunView` (folds a merged event list into monitor state) and the
 pure :func:`render_top` (RunView -> text frame); ``main_top`` only adds
-the tail-and-redraw loop.  ``--overhead-check`` reuses the interleaved
-min-of-k method of ``repro-profile --overhead-check`` to prove event
-emission stays under its wall-clock budget.
+the tail-and-redraw loop.  ``--overhead-check`` runs the overhead gate
+that ``repro-profile --overhead-check`` also uses
+(:func:`repro.bench.harness.overhead_check`: one warm-up, then
+interleaved min-of-k) to prove event emission stays under its
+wall-clock budget.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from pathlib import Path
 #: events-enabled run, min-of-k).  Tighter than the profiler's 10%:
 #: emission is a line-buffered append per unit, not a sampler.
 EVENTS_OVERHEAD_TOLERANCE = 0.05
-#: Absolute floor (seconds) under which an overhead delta is scheduler
-#: noise, mirroring ``repro-profile --overhead-check``.
-OVERHEAD_FLOOR_S = 0.05
 
 
 @dataclass
@@ -337,71 +336,20 @@ def render_top(view: RunView, *, width: int = 80) -> str:
 
 
 def _overhead_check(args: argparse.Namespace) -> int:
-    """Bare vs events-enabled runs, interleaved min-of-k.
-
-    The same method ``repro-profile --overhead-check`` uses, applied to
-    event emission with its tighter 5% budget.
-    """
-    import shutil
-    import tempfile
-
-    from repro.bench.harness import small_response_config
-    from repro.bench.workloads import materialize, scaled_workload
-    from repro.core import RunContext
-    from repro.core.context import ParallelSettings
-    from repro.engine import pipeline_factory
+    """Bare vs events-enabled runs through the harness's shared gate,
+    with event emission's tighter budget."""
+    from repro.bench.harness import overhead_check
     from repro.synth.events import paper_event
 
-    event = paper_event(args.event)
-    workload = scaled_workload(event, args.scale)
-    impl_cls = pipeline_factory(args.policy)
+    def with_events(ctx) -> None:
+        ctx.events = True
 
-    def run_once(with_events: bool) -> float:
-        base = Path(tempfile.mkdtemp(prefix="repro-top-overhead-"))
-        try:
-            ctx = RunContext.for_directory(
-                base / "ws",
-                response_config=small_response_config(n_periods=args.periods),
-                parallel=ParallelSettings.uniform(
-                    args.backend, num_workers=args.workers
-                ),
-            )
-            ctx.events = with_events
-            materialize(event, workload, ctx.workspace.input_dir)
-            return impl_cls().run(ctx).total_s
-        finally:
-            shutil.rmtree(base, ignore_errors=True)
-
-    # One untimed warmup pays the one-off costs (module imports, file
-    # cache, allocator growth) that would otherwise land entirely on
-    # whichever arm happens to run first.
-    run_once(True)
-
-    # Interleave the arms so drift (cache warmup, thermal) hits both.
-    bare: list[float] = []
-    live: list[float] = []
-    for _ in range(max(1, args.repeats)):
-        bare.append(run_once(False))
-        live.append(run_once(True))
-    base_s, live_s = min(bare), min(live)
-    delta = live_s - base_s
-    rel = delta / base_s if base_s > 0 else 0.0
-    print(
-        f"{args.policy} on {args.event} ({args.backend}, min of {len(bare)}):"
+    return overhead_check(
+        paper_event(args.event), args.policy, instrument=with_events,
+        tolerance=EVENTS_OVERHEAD_TOLERANCE, label="with events",
+        subject="event emission", scale=args.scale, periods=args.periods,
+        backend=args.backend, workers=args.workers, repeats=args.repeats,
     )
-    print(f"  bare          {base_s:.4f} s")
-    print(f"  with events   {live_s:.4f} s")
-    print(f"  overhead      {delta:+.4f} s ({rel:+.1%})")
-    if rel > EVENTS_OVERHEAD_TOLERANCE and delta > OVERHEAD_FLOOR_S:
-        print(
-            f"FAIL: event emission overhead beyond "
-            f"{EVENTS_OVERHEAD_TOLERANCE:.0%} (and above the "
-            f"{OVERHEAD_FLOOR_S:g} s noise floor)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: within {EVENTS_OVERHEAD_TOLERANCE:.0%} tolerance")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
-"""Tests for report formatting and the measured-table module."""
+"""Tests for report formatting and the measured-table rendering."""
 
 import pytest
 
-from repro.bench.measured_table import MeasuredTableRow, render_measured_table
+from repro.bench.harness import MeasuredRow, render_measured
 from repro.bench.report import comparison_table, format_table, relative_error
 
 
@@ -40,7 +40,7 @@ class TestRelativeError:
 
 class TestMeasuredTable:
     def test_render_and_speedup(self):
-        row = MeasuredTableRow(
+        row = MeasuredRow(
             event_id="EV-X",
             n_files=3,
             total_points=1_000,
@@ -52,6 +52,17 @@ class TestMeasuredTable:
             },
         )
         assert row.speedup == pytest.approx(2.0)
-        text = render_measured_table([row])
+        text = render_measured([row])
         assert "EV-X" in text
         assert "2.00x" in text
+        assert text.endswith("(seq-original / full-parallel): 2.00x")
+
+    def test_catalog_speedup_is_over_summed_times(self):
+        def row(event_id, original, parallel):
+            times = {name: original for name in ("seq-original", "seq-optimized", "partial-parallel")}
+            return MeasuredRow(event_id, 3, 1_000, {**times, "full-parallel": parallel})
+
+        text = render_measured([row("EV-A", 2.0, 1.0), row("EV-B", 4.0, 3.0)])
+        assert "EV-A" in text and "EV-B" in text
+        # (2 + 4) / (1 + 3), not the mean of 2.00x and 1.33x.
+        assert text.endswith("(seq-original / full-parallel): 1.50x")

@@ -125,10 +125,18 @@ class TestBenchCli:
     def test_schedule_render(self, tmp_path, capsys):
         out = tmp_path / "sched.ps"
         rc = main_bench(
-            ["schedule", "--render", str(out), "--implementation", "wavefront-parallel"]
+            ["schedule", "--render", str(out), "--policy", "wavefront-parallel"]
         )
         assert rc == 0
         assert out.exists()
+
+    def test_schedule_rejects_unmodelled_policy(self, tmp_path, capsys):
+        out = tmp_path / "sched.ps"
+        with pytest.raises(SystemExit) as exc:
+            main_bench(["schedule", "--render", str(out), "--policy", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_measured_single_event(self, capsys):
         assert main_bench(["measured", "--scale", "0.005"]) == 0
