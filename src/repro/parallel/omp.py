@@ -12,73 +12,50 @@ I/O-heavy and plotting stages (file reads/writes release the GIL); the
 ``process`` backend suits FLOPS-heavy stages and requires picklable
 functions and arguments — the pipeline's process bodies are module-
 level functions operating on paths, which pickle fine.
+
+Telemetry travels in one envelope.  The driver builds one picklable
+channel tuple per loop or task (:func:`_channels`); one worker shim
+(:func:`_run_unit`) runs a chunk or task body inside the metrics and
+profiling windows, measures it once and returns ``(value, envelope)``;
+one driver fold (:func:`_fold`) merges the envelope's shards, records
+its span and counts it.  Shards merge associatively and commutatively,
+so envelopes fold in completion order while results stay in item
+order.  With every channel off, workers run the bare body.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
-    FIRST_EXCEPTION,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from functools import partial
+from queue import SimpleQueue
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import ParallelError
+from repro.observability.events import channel as events_channel
+from repro.observability.events import emit_channel
+from repro.observability.metrics import (
+    MetricsRegistry,
+    begin_worker_window,
+    drain_worker_shard,
+)
+from repro.observability.profiling import (
+    begin_worker_profile,
+    drain_worker_profile,
+    installed_profiler,
+    merge_profile_shard,
+)
+from repro.observability.tracer import Span, Tracer, maybe_span, worker_label
 from repro.parallel.backend import Backend, resolve_workers
 from repro.parallel.chunks import Schedule, chunk_indices
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.tracer import Span, Tracer
-
-
-def _worker_label() -> str:
-    """Executing worker's identity (duplicated from the tracer module
-    so worker shims stay importable without the observability layer)."""
-    return f"{os.getpid()}:{threading.current_thread().name}"
-
-
-def _profile_channel(name: str, backend: Backend) -> tuple | None:
-    """``(hz, labels)`` when a sampling profiler is installed here.
-
-    The labels — the driver thread's span attribution at loop start,
-    plus the loop's span name and backend — are computed once and
-    handed to every worker shim, so samples taken in pool processes
-    come home fully attributed.  ``None`` (one pid-guarded global read)
-    when no profiler is installed.
-    """
-    from repro.observability.profiling import installed_profiler
-
-    profiler = installed_profiler()
-    if profiler is None:
-        return None
-    labels = profiler.labels_here()
-    labels["span"] = name
-    labels["backend"] = backend.value
-    return (profiler.hz, labels)
-
-
-def _events_channel(name: str) -> tuple | None:
-    """``(root, stage, span)`` when a live event log is being written.
-
-    Computed once on the driver (the enclosing stage label comes from
-    the engine's stage scope) and handed to every worker shim, which
-    emits ``unit_finished``/``task_finished`` events straight into its
-    own shard — live even on the process backend, where results only
-    come home at the barrier.  ``None`` (one pid-guarded global read)
-    when no event-logged run is executing.
-    """
-    from repro.observability.events import channel
-
-    return channel(name)
 
 
 @contextmanager
@@ -91,7 +68,8 @@ def shared_executor(
     for the process backend); a staged pipeline runs ten-plus loops, so
     the implementations open one pool per run and pass it through the
     ``executor`` parameter.  Yields ``None`` for the serial backend
-    (callers pass it straight through).
+    (callers pass it straight through).  Every pool of this module is
+    opened here.
     """
     backend = Backend.coerce(backend)
     workers = resolve_workers(num_workers)
@@ -106,218 +84,199 @@ def shared_executor(
         pool.shutdown(wait=True)
 
 
+# -- the envelope ----------------------------------------------------------
+
+
+class _Sink(NamedTuple):
+    """Where one loop's (``chunk``) or task group's (``task``) envelopes
+    land on the driver.  Never crosses into a worker."""
+
+    kind: str
+    tracer: Tracer | None
+    parent: Span | None
+    registry: MetricsRegistry | None
+    backend: str
+    schedule: str | None = None
+
+
+def _sink(
+    kind: str, tracer: Tracer | None, registry: MetricsRegistry | None,
+    backend: Backend, schedule: str | None = None,
+) -> _Sink:
+    """A sink whose spans parent to the span open on the calling thread."""
+    tracer = tracer if tracer is not None and tracer.enabled else None
+    parent = tracer.current() if tracer is not None else None
+    return _Sink(kind, tracer, parent, registry, backend.value, schedule)
+
+
+def _channels(sink: _Sink, name: str) -> tuple | None:
+    """One loop's or task's picklable channel tuple, ``None`` when all off.
+
+    ``(epoch, collect_metrics, profile, events)``: the trace epoch that
+    span start offsets count from; whether workers ship a metrics shard;
+    ``(hz, labels)`` of the installed sampling profiler — the driver
+    thread's span attribution plus the unit's span name and backend, so
+    samples taken in pool processes come home attributed; and the
+    ``(root, stage, span)`` live event channel, through which workers
+    emit ``unit_finished``/``task_finished`` straight into their own
+    shard.  Computed once on the driver; the profiler and event checks
+    are one pid-guarded global read each.
+    """
+    profile = None
+    profiler = installed_profiler()
+    if profiler is not None:
+        labels = profiler.labels_here()
+        labels["span"] = name
+        labels["backend"] = sink.backend
+        profile = (profiler.hz, labels)
+    events = events_channel(name)
+    if sink.tracer is None and sink.registry is None and profile is None and events is None:
+        return None
+    epoch = sink.tracer.epoch if sink.tracer is not None else time.time()
+    return (epoch, sink.registry is not None, profile, events)
+
+
+def _run_unit(
+    channels: tuple, body: Callable[..., tuple[Any, int | None]], *args: Any
+) -> tuple[Any, dict[str, Any]]:
+    """The worker shim: run ``body(*args)`` inside the telemetry windows.
+
+    ``body`` returns ``(value, count)``: ``count`` is the number of loop
+    items attempted (each retry included), or ``None`` for a task.  The
+    body is timed once, and that one duration feeds the metrics, the
+    ``unit_finished``/``task_finished`` event and, for a unit that ran
+    in a pool, its span.  Returns
+    ``(value, envelope)``; the envelope carries ``start_s``,
+    ``duration_s``, ``worker``, ``count`` and the drained ``metrics``
+    and ``profile`` shards (``None`` in-process, where the body recorded
+    straight into the driver's registry and sampler).
+    """
+    epoch, collect, profile, events = channels
+    token = begin_worker_profile(*profile) if profile is not None else None
+    if collect:
+        begin_worker_window()
+    shard = prof_shard = None
+    start_s = time.time() - epoch
+    t0 = time.perf_counter()
+    try:
+        value, count = body(*args)
+    finally:
+        duration = time.perf_counter() - t0
+        if collect:
+            shard = drain_worker_shard()
+        if token is not None:
+            prof_shard = drain_worker_profile(token)
+    worker = worker_label()
+    if events is not None:
+        if count is None:
+            emit_channel(events, "task_finished", duration_s=duration, worker=worker)
+        else:
+            emit_channel(events, "unit_finished", count=count, duration_s=duration,
+                         worker=worker)
+    return value, {
+        "start_s": start_s, "duration_s": duration, "worker": worker, "count": count,
+        "metrics": shard, "profile": prof_shard,
+    }
+
+
+def _fold(sink: _Sink, name: str, envelope: dict[str, Any], *, live: bool = False,
+          **attributes: Any) -> None:
+    """The driver fold: ingest one envelope into profiler, tracer and registry.
+
+    ``live`` marks a unit that ran on the driver thread under a live
+    span, which already recorded it.
+    """
+    merge_profile_shard(envelope["profile"])
+    duration, worker = envelope["duration_s"], envelope["worker"]
+    if sink.tracer is not None and not live:
+        sink.tracer.record(name, kind=sink.kind, parent=sink.parent,
+                           start_s=envelope["start_s"], duration_s=duration,
+                           worker=worker, **attributes)
+    registry = sink.registry
+    if registry is None:
+        return
+    if sink.kind == "chunk":
+        registry.counter(
+            "repro_parallel_chunks_total",
+            help="Chunks scheduled by parallel_for, per loop span.",
+            span=name, backend=sink.backend, schedule=sink.schedule,
+        ).inc(1)
+        registry.counter(
+            "repro_parallel_items_total",
+            help="Loop items executed by parallel_for, per loop span.",
+            span=name,
+        ).inc(envelope["count"])
+        registry.histogram(
+            "repro_parallel_chunk_duration_seconds",
+            help="Wall-clock per scheduled chunk.",
+            span=name,
+        ).observe(duration)
+    else:
+        registry.counter(
+            "repro_parallel_tasks_total",
+            help="Tasks run through TaskGroup.",
+            backend=sink.backend,
+        ).inc(1)
+        registry.histogram(
+            "repro_parallel_task_duration_seconds",
+            help="Wall-clock per TaskGroup task.",
+            backend=sink.backend,
+        ).observe(duration)
+    registry.counter(
+        "repro_parallel_worker_busy_seconds_total",
+        help="Summed chunk/task wall-clock per worker.",
+        worker=worker,
+    ).inc(duration)
+    if envelope["metrics"]:
+        registry.merge(envelope["metrics"])
+
+
+def _settle(futures: dict[Future, Any], land: Callable[[Future, Any], Any]) -> None:
+    """The failure contract of loops and task groups (the caller raises).
+
+    Units not yet started are cancelled and units already running are
+    *waited for* — a shared executor must come back quiescent, not with
+    orphaned units still mutating the workspace under the caller's
+    error handling — and every unit that did complete is landed, so its
+    envelope is folded and observability stays accurate for partial runs.
+    """
+    for future in futures:
+        future.cancel()
+    wait(futures)
+    for future, key in futures.items():
+        if not future.cancelled() and future.exception() is None:
+            land(future, key)
+
+
+# -- bodies ----------------------------------------------------------------
+
+
 def _run_chunk(func: Callable[[Any], Any], items: Sequence[Any], indices: range) -> list[Any]:
     """Apply ``func`` to one chunk of items (runs inside a worker)."""
     return [func(items[i]) for i in indices]
 
 
-def _run_chunk_traced(
-    func: Callable[[Any], Any], items: Sequence[Any], indices: range, epoch: float,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[list[Any], dict[str, Any], dict[str, Any] | None]:
-    """:func:`_run_chunk` plus a self-measured span record.
-
-    Runs inside the worker — possibly in another process, where the
-    tracer object does not exist — so the measurement travels back with
-    the results and the caller ingests it via ``Tracer.record``.  With
-    ``collect_shard``, a metrics window brackets the body and the
-    drained shard rides along for ``MetricsRegistry.merge`` (empty on
-    the thread backend, where the body wrote to the driver's registry
-    directly).  With ``profile`` (``(hz, labels)``), a profiling window
-    brackets the body the same way; the drained profile shard rides
-    home inside the record under the ``"profile"`` key.
-    """
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
-
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
-
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    prof_shard = None
-    try:
-        values = [func(items[i]) for i in indices]
-    finally:
-        if collect_shard:
-            shard = drain_worker_shard()
-        if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
-    }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        emit_channel(events, "unit_finished", count=len(values),
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return values, record, shard
+def _chunk_body(
+    func: Callable[[Any], Any], items: Sequence[Any], indices: range
+) -> tuple[list[Any], int]:
+    """:func:`_run_chunk` in the shim's ``(value, count)`` shape."""
+    values = _run_chunk(func, items, indices)
+    return values, len(values)
 
 
-def _run_task_traced(
-    func: Callable[..., Any], epoch: float, args: tuple, kwargs: dict,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[Any, dict[str, Any], dict[str, Any] | None]:
-    """Run one task in a worker, returning its self-measured span record."""
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
-
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
-
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    prof_shard = None
-    try:
-        value = func(*args, **kwargs)
-    finally:
-        if collect_shard:
-            shard = drain_worker_shard()
-        if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
-    }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        emit_channel(events, "task_finished",
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return value, record, shard
+def _task_body(func: Callable[..., Any], args: tuple, kwargs: dict) -> tuple[Any, None]:
+    """One task in the shim's ``(value, count)`` shape."""
+    return func(*args, **kwargs), None
 
 
-def _record_chunk_metrics(
-    metrics: tuple, record: dict[str, Any], shard: dict[str, Any] | None, size: int
-) -> None:
-    """Fold one chunk's measurement (and worker shard) into the registry."""
-    registry, name, backend, schedule = metrics
-    registry.counter(
-        "repro_parallel_chunks_total",
-        help="Chunks scheduled by parallel_for, per loop span.",
-        span=name, backend=backend, schedule=schedule,
-    ).inc(1)
-    registry.counter(
-        "repro_parallel_items_total",
-        help="Loop items executed by parallel_for, per loop span.",
-        span=name,
-    ).inc(size)
-    registry.histogram(
-        "repro_parallel_chunk_duration_seconds",
-        help="Wall-clock per scheduled chunk.",
-        span=name,
-    ).observe(record["duration_s"])
-    registry.counter(
-        "repro_parallel_worker_busy_seconds_total",
-        help="Summed chunk/task wall-clock per worker.",
-        worker=record["worker"],
-    ).inc(record["duration_s"])
-    if shard:
-        registry.merge(shard)
-
-
-def _fold_chunk(
-    trace: tuple | None, metrics: tuple | None, chunk: range,
-    record: dict[str, Any], shard: dict[str, Any] | None, size: int | None = None,
-) -> None:
-    """Ingest one chunk's span record, metrics shard and profile shard."""
-    prof_shard = record.pop("profile", None)
-    if prof_shard:
-        from repro.observability.profiling import merge_profile_shard
-
-        merge_profile_shard(prof_shard)
-    if trace is not None:
-        tracer, span_name, parent, _ = trace
-        tracer.record(
-            span_name,
-            kind="chunk",
-            parent=parent,
-            chunk_start=chunk.start,
-            size=len(chunk),
-            **record,
+def _chunked_body(func: Callable[[Sequence[Any]], list[Any]], batch: list[Any]) -> list[Any]:
+    """One :func:`parallel_for_chunked` batch, with its result count checked."""
+    out = func(batch)
+    if len(out) != len(batch):
+        raise ParallelError(
+            f"chunked body returned {len(out)} results for {len(batch)} items"
         )
-    if metrics is not None:
-        _record_chunk_metrics(metrics, record, shard, size if size is not None else len(chunk))
-
-
-def _drain(pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
-           results: list[Any], trace: tuple | None = None,
-           metrics: tuple | None = None, profile: tuple | None = None,
-           events: tuple | None = None) -> None:
-    """Submit all chunks, wait, propagate the first failure.
-
-    ``trace`` is ``(tracer, span_name, parent_span, epoch)`` when chunk
-    spans should be collected; ``metrics`` is ``(registry, span_name,
-    backend, schedule)`` when chunk counters and worker shards should
-    be; ``profile`` is ``(hz, labels)`` when worker profile shards
-    should be.  Any of them switches to the instrumented shim, whose
-    ``(values, record, shard)`` triples are folded in after the barrier.
-
-    On failure, chunks not yet started are cancelled and chunks already
-    running are *waited for* before the exception propagates — a shared
-    executor must come back quiescent, not with orphaned chunks still
-    mutating the workspace under the caller's error handling.  Span
-    records and metrics shards of every chunk that did complete are
-    folded in first, so observability stays accurate for partial runs.
-    """
-    instrumented = (
-        trace is not None or metrics is not None or profile is not None
-        or events is not None
-    )
-    if not instrumented:
-        futures = {pool.submit(_run_chunk, func, items, chunk): chunk for chunk in chunks}
-    else:
-        epoch = trace[3] if trace is not None else time.time()
-        futures = {
-            pool.submit(
-                _run_chunk_traced, func, items, chunk, epoch, metrics is not None,
-                profile, events,
-            ): chunk
-            for chunk in chunks
-        }
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next((f for f in done if f.exception() is not None), None)
-    if failed is not None:
-        for f in not_done:
-            f.cancel()
-        if not_done:
-            wait(not_done)
-        for future, chunk in futures.items():
-            if future.cancelled() or future.exception() is not None:
-                continue
-            values = future.result()
-            if instrumented:
-                _, record, shard = values
-                _fold_chunk(trace, metrics, chunk, record, shard)
-        raise failed.exception()
-    for future, chunk in futures.items():
-        values = future.result()
-        if instrumented:
-            values, record, shard = values
-            _fold_chunk(trace, metrics, chunk, record, shard)
-        for i, value in zip(chunk, values):
-            results[i] = value
+    return out
 
 
 @dataclass
@@ -375,167 +334,128 @@ class Isolation:
         return attempt + 1
 
 
-def _run_chunk_isolated(
+def _isolated_body(
     func: Callable[[Any], Any], items: Sequence[Any], indices: range, attempt: int,
-    retryable: tuple, scope: Callable[[int], Any] | None, epoch: float,
-    collect_shard: bool = False, profile: tuple | None = None,
-    events: tuple | None = None,
-) -> tuple[list[Any], int | None, BaseException | None, dict[str, Any], dict[str, Any] | None]:
-    """Run one chunk, stopping at the first *retryable* failure.
+    retryable: tuple, scope: Callable[[int], Any] | None,
+) -> tuple[tuple[list[Any], int | None, BaseException | None], int]:
+    """Run one chunk in a worker, stopping at the first *retryable* failure.
 
-    Returns ``(values, failed_offset, error, record, shard)``: on a
-    retryable failure ``values`` holds the results up to the failing
-    item, ``failed_offset`` is its position within ``indices``, and the
+    The value is ``(values, failed_offset, error)``: on a retryable
+    failure ``values`` holds the results up to the failing item,
+    ``failed_offset`` is its position within ``indices``, and the
     chunk's unstarted tail never ran (the driver resubmits both).
     ``attempt`` is uniform across the chunk — initial chunks run at 1,
     resubmissions are single-item chunks at the bumped number.  Other
-    exceptions propagate exactly like :func:`_run_chunk_traced`.
+    exceptions propagate.  The failing item counts as attempted, so
+    progress matches the work actually done and a resubmission counts
+    again.
     """
-    shard = None
-    token = None
-    if profile is not None:
-        from repro.observability.profiling import begin_worker_profile
-
-        token = begin_worker_profile(*profile)
-    if collect_shard:
-        from repro.observability.metrics import begin_worker_window, drain_worker_shard
-
-        begin_worker_window()
-    start_wall = time.time()
-    t0 = time.perf_counter()
     values: list[Any] = []
-    failed: int | None = None
-    error: BaseException | None = None
-    prof_shard = None
-    try:
-        for offset, i in enumerate(indices):
-            try:
-                if scope is not None:
-                    with scope(attempt):
-                        values.append(func(items[i]))
-                else:
-                    values.append(func(items[i]))
-            except retryable as exc:
-                failed, error = offset, exc
-                break
-    finally:
-        if collect_shard:
-            shard = drain_worker_shard()
-        if token is not None:
-            from repro.observability.profiling import drain_worker_profile
-
-            prof_shard = drain_worker_profile(token)
-    record = {
-        "start_s": start_wall - epoch,
-        "duration_s": time.perf_counter() - t0,
-        "worker": _worker_label(),
-    }
-    if prof_shard:
-        record["profile"] = prof_shard
-    if events is not None:
-        from repro.observability.events import emit_channel
-
-        # The failing item counts as executed: the monitor's progress
-        # matches the work actually attempted, and the retry events the
-        # resilience runtime emits account for the resubmission.
-        emit_channel(events, "unit_finished",
-                     count=len(values) + (0 if failed is None else 1),
-                     duration_s=record["duration_s"], worker=record["worker"])
-    return values, failed, error, record, shard
+    for offset, i in enumerate(indices):
+        try:
+            with scope(attempt) if scope is not None else nullcontext():
+                values.append(func(items[i]))
+        except retryable as exc:
+            return (values, offset, exc), len(values) + 1
+    return (values, None, None), len(values)
 
 
-def _drain_isolated(
-    pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
-    results: list[Any], isolation: Isolation,
-    trace: tuple | None = None, metrics: tuple | None = None,
-    profile: tuple | None = None, events: tuple | None = None,
-) -> None:
-    """:func:`_drain` with per-item failure isolation and resubmission.
+def _serial_isolated(
+    func: Callable[[Any], Any], items: Sequence[Any], indices: range,
+    isolation: Isolation,
+) -> tuple[list[Any], int]:
+    """The serial-backend equivalent of isolated execution.
 
-    Completion-driven rather than a single barrier: each finished chunk
-    is folded as it lands, a retryable casualty is resubmitted alone
-    (attempt N+1) alongside the chunk's unstarted tail (attempt 1), and
-    the loop ends when no futures remain.  Non-retryable exceptions
-    keep :func:`_drain`'s contract: cancel, settle, fold, raise.
+    Retries happen in place (no resubmission machinery), with the same
+    attempt numbering and callbacks, so retry counts, exhaustion reports
+    and the attempted-item count match the pool backends exactly.
     """
-    epoch = trace[3] if trace is not None else time.time()
-    collect = metrics is not None
-    pending: dict[Any, tuple[range, int]] = {}
+    scope = isolation.attempt_scope
+    values: list[Any] = []
+    attempted = 0
+    for i in indices:
+        attempt: int | None = 1
+        while attempt is not None:
+            attempted += 1
+            try:
+                with scope(attempt) if scope is not None else nullcontext():
+                    values.append(func(items[i]))
+                break
+            except isolation.retryable as exc:
+                attempt = isolation.handle_failure(isolation.describe(items[i]), exc, attempt)
+                if attempt is None:
+                    values.append(None)
+    return values, attempted
+
+
+# -- parallel for ----------------------------------------------------------
+
+
+def _drain(
+    pool: Executor, func: Callable, items: Sequence[Any], chunks: list[range],
+    results: list[Any], sink: _Sink, name: str, channels: tuple | None,
+    isolation: Isolation | None,
+) -> None:
+    """Submit every chunk and store each one's results as it lands.
+
+    Each landed chunk's envelope is folded.  With an ``isolation``
+    policy, a retryable casualty is resubmitted alone (attempt N+1)
+    alongside its chunk's unstarted tail (attempt 1), and the loop ends
+    when no chunk remains.  Any other exception follows :func:`_settle`.
+    """
+    pending: dict[Future, tuple[range, int]] = {}
+    landed: SimpleQueue = SimpleQueue()
 
     def submit(indices: range, attempt: int) -> None:
         if len(indices) == 0:
             return
-        future = pool.submit(
-            _run_chunk_isolated, func, items, indices, attempt,
-            isolation.retryable, isolation.attempt_scope, epoch, collect, profile,
-            events,
-        )
+        if isolation is not None:
+            call = (_isolated_body, func, items, indices, attempt,
+                    isolation.retryable, isolation.attempt_scope)
+        elif channels is not None:
+            call = (_chunk_body, func, items, indices)
+        else:
+            call = (_run_chunk, func, items, indices)
+        if channels is not None:
+            call = (_run_unit, channels) + call
+        future = pool.submit(*call)
         pending[future] = (indices, attempt)
+        future.add_done_callback(landed.put)
+
+    def land(future: Future, key: tuple[range, int]) -> Any:
+        value = future.result()
+        if channels is not None:
+            value, envelope = value
+            _fold(sink, name, envelope, chunk_start=key[0].start, size=len(key[0]))
+        elif isolation is not None:
+            value, _ = value
+        return value
 
     for chunk in chunks:
         submit(chunk, 1)
     while pending:
-        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-        for future in done:
-            indices, attempt = pending.pop(future)
-            if future.exception() is not None:
-                for f in pending:
-                    f.cancel()
-                if pending:
-                    wait(list(pending))
-                for f, (ind, _att) in pending.items():
-                    if f.cancelled() or f.exception() is not None:
-                        continue
-                    values, failed, _err, record, shard = f.result()
-                    executed = len(values) + (0 if failed is None else 1)
-                    _fold_chunk(trace, metrics, ind, record, shard, size=executed)
-                raise future.exception()
-            values, failed, error, record, shard = future.result()
-            executed = len(values) + (0 if failed is None else 1)
-            _fold_chunk(trace, metrics, indices, record, shard, size=executed)
-            for i, value in zip(indices, values):
-                results[i] = value
-            if failed is not None:
-                poisoned = indices[failed]
-                name = isolation.describe(items[poisoned])
-                next_attempt = isolation.handle_failure(name, error, attempt)
-                if next_attempt is not None:
-                    submit(indices[failed:failed + 1], next_attempt)
-                else:
-                    results[poisoned] = None
-                submit(indices[failed + 1:], 1)
-
-
-def _serial_chunk_isolated(
-    func: Callable[[Any], Any], items: Sequence[Any], indices: range,
-    isolation: Isolation,
-) -> list[Any]:
-    """The serial-backend equivalent of isolated execution.
-
-    Retries happen in place (no resubmission machinery), with the same
-    attempt numbering and callbacks, so retry counts and exhaustion
-    reports match the pool backends exactly.
-    """
-    scope = isolation.attempt_scope
-    values: list[Any] = []
-    for i in indices:
-        attempt = 1
-        while True:
-            try:
-                if scope is not None:
-                    with scope(attempt):
-                        values.append(func(items[i]))
-                else:
-                    values.append(func(items[i]))
-                break
-            except isolation.retryable as exc:
-                name = isolation.describe(items[i])
-                next_attempt = isolation.handle_failure(name, exc, attempt)
-                if next_attempt is None:
-                    values.append(None)
-                    break
-                attempt = next_attempt
-    return values
+        future = landed.get()
+        indices, attempt = key = pending.pop(future)
+        if future.exception() is not None:
+            _settle(pending, land)
+            raise future.exception()
+        value = land(future, key)
+        if isolation is None:
+            values, failed = value, None
+        else:
+            values, failed, error = value
+        for i, v in zip(indices, values):
+            results[i] = v
+        if failed is not None:
+            poisoned = indices[failed]
+            next_attempt = isolation.handle_failure(
+                isolation.describe(items[poisoned]), error, attempt
+            )
+            if next_attempt is not None:
+                submit(indices[failed:failed + 1], next_attempt)
+            else:
+                results[poisoned] = None
+            submit(indices[failed + 1:], 1)
 
 
 def parallel_for(
@@ -547,9 +467,9 @@ def parallel_for(
     schedule: Schedule | str = Schedule.DYNAMIC,
     chunk_size: int | None = None,
     executor: Executor | None = None,
-    tracer: "Tracer | None" = None,
+    tracer: Tracer | None = None,
     span: str | None = None,
-    metrics: "MetricsRegistry | None" = None,
+    metrics: MetricsRegistry | None = None,
     isolate: Isolation | None = None,
 ) -> list[Any]:
     """Map ``func`` over ``items`` in parallel, preserving order.
@@ -584,90 +504,39 @@ def parallel_for(
         return []
     workers = resolve_workers(num_workers)
     chunks = chunk_indices(n, workers, schedule, chunk_size)
-
-    trace: tuple | None = None
     name = span or getattr(func, "__name__", "parallel_for")
-    if tracer is not None and tracer.enabled:
-        trace = (tracer, name, tracer.current(), tracer.epoch)
-    metric: tuple | None = None
-    if metrics is not None:
-        metric = (metrics, name, backend.value, Schedule.coerce(schedule).value)
-    profile = _profile_channel(name, backend)
-    events = _events_channel(name)
-    if events is not None:
-        from repro.observability.events import emit_channel
-
+    sink = _sink("chunk", tracer, metrics, backend, Schedule.coerce(schedule).value)
+    channels = _channels(sink, name)
+    if channels is not None and channels[3] is not None:
         # The driver announces the loop's size up front, so a live
         # monitor can draw a bounded progress bar before any chunk
         # lands.
-        emit_channel(events, "units_total", total=n, chunks=len(chunks),
+        emit_channel(channels[3], "units_total", total=n, chunks=len(chunks),
                      backend=backend.value)
 
-    if executor is not None:
-        results: list[Any] = [None] * n
+    results: list[Any] = [None] * n
+    pools = (nullcontext(executor) if executor is not None
+             else shared_executor(backend, min(workers, len(chunks))))
+    with pools as pool:
+        if pool is not None:
+            _drain(pool, func, items, chunks, results, sink, name, channels, isolate)
+            return results
+    for chunk in chunks:
         if isolate is not None:
-            _drain_isolated(executor, func, items, chunks, results, isolate,
-                            trace=trace, metrics=metric, profile=profile,
-                            events=events)
+            body, args = _serial_isolated, (func, items, chunk, isolate)
         else:
-            _drain(executor, func, items, chunks, results, trace=trace,
-                   metrics=metric, profile=profile, events=events)
-        return results
-
-    if backend is Backend.SERIAL or workers == 1 or n == 1:
-        from repro.observability.profiling import labeled_thread
-
-        results = [None] * n
-        # Serial chunks run on the driver thread; register the loop's
-        # labels so the sampler attributes them like pool workers.
-        with labeled_thread(profile[1]) if profile is not None else nullcontext():
-            for chunk in chunks:
-                t0 = time.perf_counter()
-                if isolate is not None:
-                    if trace is not None:
-                        tracer_, name_, parent, _ = trace
-                        with tracer_.span(
-                            name_, kind="chunk", parent=parent,
-                            chunk_start=chunk.start, size=len(chunk),
-                        ):
-                            values = _serial_chunk_isolated(func, items, chunk, isolate)
-                    else:
-                        values = _serial_chunk_isolated(func, items, chunk, isolate)
-                elif trace is not None:
-                    tracer_, name_, parent, _ = trace
-                    with tracer_.span(
-                        name_, kind="chunk", parent=parent,
-                        chunk_start=chunk.start, size=len(chunk),
-                    ):
-                        values = _run_chunk(func, items, chunk)
-                else:
-                    values = _run_chunk(func, items, chunk)
-                if metric is not None:
-                    # Serial chunks run on the driver thread: body metrics
-                    # went straight to the registry; count the chunk here.
-                    record = {
-                        "duration_s": time.perf_counter() - t0,
-                        "worker": _worker_label(),
-                    }
-                    _record_chunk_metrics(metric, record, None, len(chunk))
-                if events is not None:
-                    emit_channel(events, "unit_finished", count=len(chunk),
-                                 duration_s=time.perf_counter() - t0,
-                                 worker=_worker_label())
-                for i, value in zip(chunk, values):
-                    results[i] = value
-        return results
-
-    pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-    results = [None] * n
-    with pool_cls(max_workers=min(workers, len(chunks))) as pool:
-        if isolate is not None:
-            _drain_isolated(pool, func, items, chunks, results, isolate,
-                            trace=trace, metrics=metric, profile=profile,
-                            events=events)
+            body, args = _chunk_body, (func, items, chunk)
+        if channels is None:
+            values, _ = body(*args)
         else:
-            _drain(pool, func, items, chunks, results, trace=trace,
-                   metrics=metric, profile=profile, events=events)
+            # Serial chunks run on the driver thread under a live span,
+            # so spans opened inside the body nest under the chunk.
+            with maybe_span(sink.tracer, name, kind="chunk", parent=sink.parent,
+                            chunk_start=chunk.start, size=len(chunk)):
+                values, envelope = _run_unit(channels, body, *args)
+            _fold(sink, name, envelope, live=True)
+        for i, value in zip(chunk, values):
+            results[i] = value
     return results
 
 
@@ -685,43 +554,21 @@ def parallel_for_chunked(
     For bodies with per-call setup worth amortizing (opening shared
     files, building filter taps); ``func`` must return one result per
     input item, in order — violations raise :class:`ParallelError`.
+    Runs on every backend (a process-backend ``func`` must be picklable).
     """
-    backend = Backend.coerce(backend)
     items = list(items)
-    n = len(items)
-    if n == 0:
+    if not items:
         return []
-    workers = resolve_workers(num_workers)
-    chunks = chunk_indices(n, workers, schedule, chunk_size)
+    chunks = chunk_indices(len(items), resolve_workers(num_workers), schedule, chunk_size)
+    batches = [items[chunk.start:chunk.stop] for chunk in chunks]
+    outs = parallel_for(
+        partial(_chunked_body, func), batches, backend=backend,
+        num_workers=num_workers, span=getattr(func, "__name__", None),
+    )
+    return [value for out in outs for value in out]
 
-    def run(indices: range) -> list[Any]:
-        out = func([items[i] for i in indices])
-        if len(out) != len(indices):
-            raise ParallelError(
-                f"chunked body returned {len(out)} results for {len(indices)} items"
-            )
-        return out
 
-    results: list[Any] = [None] * n
-    if backend is Backend.SERIAL or workers == 1:
-        for chunk in chunks:
-            for i, value in zip(chunk, run(chunk)):
-                results[i] = value
-        return results
-
-    pool_cls = ThreadPoolExecutor if backend is Backend.THREAD else ProcessPoolExecutor
-    with pool_cls(max_workers=min(workers, len(chunks))) as pool:
-        futures = {pool.submit(run, chunk): chunk for chunk in chunks}
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        failed = next((f for f in done if f.exception() is not None), None)
-        if failed is not None:
-            for f in not_done:
-                f.cancel()
-            raise failed.exception()
-        for future, chunk in futures.items():
-            for i, value in zip(chunk, future.result()):
-                results[i] = value
-    return results
+# -- tasks -----------------------------------------------------------------
 
 
 class TaskGroup:
@@ -748,65 +595,32 @@ class TaskGroup:
         *,
         backend: Backend | str = Backend.THREAD,
         num_workers: int | None = None,
-        tracer: "Tracer | None" = None,
-        metrics: "MetricsRegistry | None" = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.backend = Backend.coerce(backend)
         self.num_workers = resolve_workers(num_workers)
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-        #: ``(future, span_name, instrumented)`` per submitted task;
-        #: ``instrumented`` marks futures resolving to the shim's
-        #: ``(value, record, shard)`` triple rather than a bare value.
-        self._futures: list[tuple[Any, str | None, bool]] = []
+        self._pools = ExitStack()
+        self._pool: Executor | None = None
+        #: Submitted futures, in submission order, each keyed by its span
+        #: name when it resolves to the shim's ``(value, envelope)`` and
+        #: by ``None`` when it resolves to a bare value.
+        self._futures: dict[Future, str | None] = {}
         self._serial_results: list[Any] = []
         self.results: list[Any] = []
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
-        self._parent: "Span | None" = (
-            self._tracer.current() if self._tracer is not None else None
-        )
-        self._metrics = metrics
+        self._sink = _sink("task", tracer, metrics, self.backend)
 
-    def _count_task(self, record: dict[str, Any], shard: dict[str, Any] | None) -> None:
-        registry = self._metrics
-        if registry is None:
-            return
-        registry.counter(
-            "repro_parallel_tasks_total",
-            help="Tasks run through TaskGroup.",
-            backend=self.backend.value,
-        ).inc(1)
-        registry.histogram(
-            "repro_parallel_task_duration_seconds",
-            help="Wall-clock per TaskGroup task.",
-            backend=self.backend.value,
-        ).observe(record["duration_s"])
-        registry.counter(
-            "repro_parallel_worker_busy_seconds_total",
-            help="Summed chunk/task wall-clock per worker.",
-            worker=record["worker"],
-        ).inc(record["duration_s"])
-        if shard:
-            registry.merge(shard)
-
-    def _fold_task(
-        self, name: str | None, record: dict[str, Any], shard: dict[str, Any] | None
-    ) -> None:
-        """Ingest one task's span record and metrics/profile shards."""
-        prof_shard = record.pop("profile", None)
-        if prof_shard:
-            from repro.observability.profiling import merge_profile_shard
-
-            merge_profile_shard(prof_shard)
-        if self._tracer is not None:
-            self._tracer.record(
-                name or "task", kind="task", parent=self._parent, **record
-            )
-        self._count_task(record, shard)
+    def _land(self, future: Future, name: str | None) -> Any:
+        value = future.result()
+        if name is not None:
+            value, envelope = value
+            _fold(self._sink, name, envelope)
+        return value
 
     def __enter__(self) -> "TaskGroup":
-        if self.backend is not Backend.SERIAL and self.num_workers > 1:
-            pool_cls = ThreadPoolExecutor if self.backend is Backend.THREAD else ProcessPoolExecutor
-            self._pool = pool_cls(max_workers=self.num_workers)
+        self._pool = self._pools.enter_context(
+            shared_executor(self.backend, self.num_workers)
+        )
         return self
 
     def task(
@@ -818,75 +632,40 @@ class TaskGroup:
     ) -> None:
         """Submit one task (``#pragma omp task``)."""
         name = span_name or getattr(func, "__name__", "task")
-        profile = _profile_channel(name, self.backend)
-        events = _events_channel(name)
+        channels = _channels(self._sink, name)
         if self._pool is None:
-            from repro.observability.profiling import labeled_thread
-
-            t0 = time.perf_counter()
-            with labeled_thread(profile[1]) if profile is not None else nullcontext():
-                if self._tracer is not None:
-                    with self._tracer.span(name, kind="task", parent=self._parent):
-                        self._serial_results.append(func(*args, **kwargs))
-                else:
-                    self._serial_results.append(func(*args, **kwargs))
-            self._count_task(
-                {"duration_s": time.perf_counter() - t0, "worker": _worker_label()},
-                None,
-            )
-            if events is not None:
-                from repro.observability.events import emit_channel
-
-                emit_channel(events, "task_finished",
-                             duration_s=time.perf_counter() - t0,
-                             worker=_worker_label())
-        elif (self._tracer is not None or self._metrics is not None
-              or profile is not None or events is not None):
-            epoch = self._tracer.epoch if self._tracer is not None else time.time()
-            future = self._pool.submit(
-                _run_task_traced, func, epoch, args, kwargs,
-                self._metrics is not None, profile, events,
-            )
-            self._futures.append((future, name, True))
-            if self._metrics is not None:
-                outstanding = sum(1 for f, _, _ in self._futures if not f.done())
-                self._metrics.gauge(
+            if channels is None:
+                self._serial_results.append(func(*args, **kwargs))
+                return
+            sink = self._sink
+            with maybe_span(sink.tracer, name, kind="task", parent=sink.parent):
+                value, envelope = _run_unit(channels, _task_body, func, args, kwargs)
+            _fold(sink, name, envelope, live=True)
+            self._serial_results.append(value)
+        elif channels is None:
+            self._futures[self._pool.submit(func, *args, **kwargs)] = None
+        else:
+            future = self._pool.submit(_run_unit, channels, _task_body, func, args, kwargs)
+            self._futures[future] = name
+            if self._sink.registry is not None:
+                outstanding = sum(1 for f in self._futures if not f.done())
+                self._sink.registry.gauge(
                     "repro_parallel_task_queue_depth",
                     help="High-water mark of tasks outstanding in a TaskGroup.",
                 ).set_max(outstanding)
-        else:
-            self._futures.append((self._pool.submit(func, *args, **kwargs), None, False))
 
     def taskwait(self) -> list[Any]:
         """Barrier: wait for all submitted tasks, collect their results."""
         if self._pool is None:
-            batch = self._serial_results
-            self._serial_results = []
+            batch, self._serial_results = self._serial_results, []
         else:
-            futures = [f for f, _, _ in self._futures]
-            done, _ = wait(futures)
+            futures, self._futures = self._futures, {}
+            wait(futures)
             failed = next((f for f in futures if f.exception() is not None), None)
             if failed is not None:
-                # Tasks that did finish still carry span records and
-                # worker metrics/profile shards — fold them in before
-                # raising so a partial group is observable.
-                for future, name, instrumented in self._futures:
-                    if future.cancelled() or future.exception() is not None:
-                        continue
-                    value = future.result()
-                    if instrumented:
-                        _, record, shard = value
-                        self._fold_task(name, record, shard)
-                self._futures = []
+                _settle(futures, self._land)
                 raise failed.exception()
-            batch = []
-            for future, name, instrumented in self._futures:
-                value = future.result()
-                if instrumented:
-                    value, record, shard = value
-                    self._fold_task(name, record, shard)
-                batch.append(value)
-            self._futures = []
+            batch = [self._land(future, name) for future, name in futures.items()]
         self.results.extend(batch)
         return batch
 
@@ -895,6 +674,5 @@ class TaskGroup:
             if exc_type is None:
                 self.taskwait()
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+            self._pool = None
+            self._pools.close()

@@ -14,6 +14,10 @@ def square(x: int) -> int:
     return x * x
 
 
+def double_batch(chunk: list[int]) -> list[int]:
+    return [x * 2 for x in chunk]
+
+
 def failing(x: int) -> int:
     if x == 3:
         raise ValueError("boom on 3")
@@ -94,6 +98,12 @@ class TestParallelForChunked:
 
     def test_empty(self):
         assert parallel_for_chunked(lambda c: list(c), [], backend="thread") == []
+
+    @pytest.mark.slow
+    def test_process(self):
+        out = parallel_for_chunked(double_batch, list(range(10)), backend="process",
+                                   num_workers=2)
+        assert out == [x * 2 for x in range(10)]
 
 
 class TestSharedExecutor:
