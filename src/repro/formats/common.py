@@ -29,6 +29,10 @@ COMPONENT_NAMES: dict[str, str] = {
 _FIELD_WIDTH = 15
 _PER_LINE = 5
 _FMT = "%15.7E"
+#: ``str.strip()`` treats the ASCII separators as whitespace; the bytes
+#: parser behind NumPy's ``S`` -> float cast does not.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SEPARATORS_AS_SPACE = bytes.maketrans(b"".join(_SEPARATORS), b" " * len(_SEPARATORS))
 
 #: :func:`repro.observability.metrics.record_points`, bound lazily —
 #: the formats package is a leaf the observability package sits above.
@@ -54,19 +58,54 @@ def format_fixed_block(values: np.ndarray) -> str:
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         return ""
-    lines = []
-    for start in range(0, values.size, _PER_LINE):
-        chunk = values[start : start + _PER_LINE]
-        lines.append("".join(_FMT % v for v in chunk))
-    return "\n".join(lines) + "\n"
+    full, rest = divmod(values.size, _PER_LINE)
+    template = (_FMT * _PER_LINE + "\n") * full + (_FMT * rest + "\n" if rest else "")
+    return template % tuple(values.tolist())
+
+
+def _decode_canonical(lines: list[str], count: int) -> np.ndarray | None:
+    """Decode a block laid out exactly as :func:`format_fixed_block` writes it.
+
+    The canonical layout is ``count // 5`` full ASCII lines of 75
+    characters plus, when ``count % 5`` is not zero, a tail line of 15
+    characters per value: one run of 15-byte fields, which a single
+    ``S15`` -> float cast parses as ``float(field.strip())`` would.
+    NUL bytes are ruled out because the ``S`` dtype drops them from a
+    field's end.  Returns ``None`` for any other layout or for a block
+    the cast rejects, leaving the verdict to the per-field scan.
+    """
+    full, rest = divmod(count, _PER_LINE)
+    if count < 0 or len(lines) != full + (rest > 0):
+        return None
+    if not set(map(len, lines[:full])) <= {_FIELD_WIDTH * _PER_LINE}:
+        return None
+    if rest and len(lines[-1]) != _FIELD_WIDTH * rest:
+        return None
+    try:
+        raw = "".join(lines).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b"\0" in raw:
+        return None
+    if any(sep in raw for sep in _SEPARATORS):
+        raw = raw.translate(_SEPARATORS_AS_SPACE)
+    try:
+        return np.frombuffer(raw, f"S{_FIELD_WIDTH}").astype(float)
+    except ValueError:
+        return None
 
 
 def parse_fixed_block(lines: list[str], count: int, *, path: str = "<memory>") -> np.ndarray:
     """Parse ``count`` fixed-width values from consumed text lines.
 
     ``lines`` must contain exactly the lines of one block (as produced
-    by :func:`format_fixed_block`).
+    by :func:`format_fixed_block`).  A block in that canonical layout
+    is decoded in one vectorized cast; any other block is scanned field
+    by field, which also produces the error for a block neither accepts.
     """
+    decoded = _decode_canonical(lines, count)
+    if decoded is not None:
+        return decoded
     values: list[float] = []
     for line in lines:
         line = line.rstrip("\n")

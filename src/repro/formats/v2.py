@@ -142,7 +142,8 @@ def _parse_v2_header(
     the index refers to the original ``lines`` list.
     """
     # PEAKS/FILTER appear between the banner fields and DATA; the generic
-    # header parser rejects them, so pre-extract those lines.
+    # header parser rejects them, so pre-extract those lines.  The scan
+    # stops at DATA: what follows is the numeric payload.
     peaks_line = None
     filter_line = None
     cleaned: list[str] = []
@@ -154,6 +155,8 @@ def _parse_v2_header(
             filter_line = stripped
         else:
             cleaned.append(line)
+            if stripped == "DATA":
+                break
     header, i = parse_header(cleaned, "V2 CORRECTED", path=path)
     if peaks_line is None or filter_line is None:
         raise DataBlockError(f"{path}: V2 file missing PEAKS or FILTER line")

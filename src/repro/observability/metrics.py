@@ -369,12 +369,22 @@ def _labels_text(labels: dict[str, str]) -> str:
 # the duration; instrumented code anywhere on the driver's threads
 # reaches it through ``recording_registry()``.  Worker side: the omp
 # shims bracket each chunk/task with ``begin_worker_window()`` /
-# ``drain_worker_shard()`` and ship the shard home.  Both slots are
-# pid-guarded so state inherited across a fork (process pools fork
-# lazily) is treated as absent rather than silently written to.
+# ``drain_worker_shard()`` and ship the shard home.  The window is per
+# thread, so concurrent chunks on a thread pool each fill their own
+# shard.  Both slots are pid-guarded so state inherited across a fork
+# (process pools fork lazily) is treated as absent rather than silently
+# written to.
 
 _installed: tuple[MetricsRegistry, int] | None = None
-_window: tuple[MetricsRegistry, int] | None = None
+_local = threading.local()
+
+
+def _open_window() -> MetricsRegistry | None:
+    """This thread's worker window, unless inherited across a fork."""
+    window = getattr(_local, "window", None)
+    if window is not None and window[1] == os.getpid():
+        return window[0]
+    return None
 
 
 @contextmanager
@@ -404,36 +414,32 @@ def installed_registry() -> MetricsRegistry | None:
 
 
 def begin_worker_window() -> None:
-    """Open a fresh worker shard (called by the omp worker shims).
+    """Open a fresh worker shard for this thread (called by the omp shims).
 
-    Discards anything a previous window on this process left behind, so
+    Discards anything a previous window on this thread left behind, so
     a pool worker reused across runs cannot leak stale counts into a
     later shard.
     """
-    global _window
-    _window = (MetricsRegistry(), os.getpid())
+    _local.window = (MetricsRegistry(), os.getpid())
 
 
 def drain_worker_shard() -> dict[str, Any] | None:
-    """Close the worker window and return its shard (None if empty)."""
-    global _window
-    if _window is None or _window[1] != os.getpid():
+    """Close this thread's worker window and return its shard (None if empty)."""
+    registry = _open_window()
+    _local.window = None
+    if registry is None:
         return None
-    registry, _ = _window
-    _window = None
     shard = registry.to_dict()
     return shard if shard["metrics"] else None
 
 
 def recording_registry() -> MetricsRegistry | None:
-    """Wherever the current process should record: the driver-installed
-    registry first, else the open worker window, else nowhere."""
+    """Wherever the current thread should record: the driver-installed
+    registry first, else its open worker window, else nowhere."""
     registry = installed_registry()
     if registry is not None:
         return registry
-    if _window is not None and _window[1] == os.getpid():
-        return _window[0]
-    return None
+    return _open_window()
 
 
 # -- instrumentation helpers ----------------------------------------------

@@ -87,20 +87,22 @@ def _decimate_for_plot(x: np.ndarray, y: np.ndarray, max_points: int = 2000) -> 
     if n <= max_points:
         return x, y
     buckets = max_points // 2
+    if buckets < 1:
+        return np.empty(0), np.empty(0)
     edges = np.linspace(0, n, buckets + 1, dtype=int)
-    xs: list[float] = []
-    ys: list[float] = []
-    for b in range(buckets):
-        s, e = edges[b], edges[b + 1]
-        if s >= e:
-            continue
-        seg = y[s:e]
-        i_min = s + int(np.argmin(seg))
-        i_max = s + int(np.argmax(seg))
-        for i in sorted((i_min, i_max)):
-            xs.append(float(x[i]))
-            ys.append(float(y[i]))
-    return np.asarray(xs), np.asarray(ys)
+    starts, sizes = edges[:-1], np.diff(edges)
+    # One row per bucket (none is empty: n > 2 * buckets), padded so the
+    # pad never wins: argmin/argmax return the first extreme, and a NaN
+    # anywhere in a row wins both, exactly as on the unpadded bucket.
+    cols = np.arange(sizes.max())
+    idx = starts[:, None] + cols
+    pad = cols >= sizes[:, None]
+    idx[pad] = 0
+    rows = y[idx]
+    i_min = starts + np.argmin(np.where(pad, np.inf, rows), axis=1)
+    i_max = starts + np.argmax(np.where(pad, -np.inf, rows), axis=1)
+    picks = np.stack([np.minimum(i_min, i_max), np.maximum(i_min, i_max)], axis=1).ravel()
+    return x[picks], y[picks]
 
 
 @dataclass

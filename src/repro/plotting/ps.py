@@ -9,6 +9,7 @@ defines them.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -51,10 +52,8 @@ class PostScriptCanvas:
         """Stroke a connected path through the given page coordinates."""
         if len(points) < 2:
             return
-        parts = ["newpath", f"{points[0][0]:.2f} {points[0][1]:.2f} moveto"]
-        parts.extend(f"{x:.2f} {y:.2f} lineto" for x, y in points[1:])
-        parts.append("stroke")
-        self._emit("\n".join(parts))
+        template = "newpath\n%.2f %.2f moveto\n" + "%.2f %.2f lineto\n" * (len(points) - 1)
+        self._emit(template % tuple(chain.from_iterable(points)) + "stroke")
 
     def line(self, x0: float, y0: float, x1: float, y1: float) -> None:
         """Stroke a single segment."""

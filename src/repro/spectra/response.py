@@ -107,7 +107,7 @@ class ResponseSpectrum:
 
 
 def sdof_coefficients(
-    period: float, damping: float, dt: float
+    period: float | np.ndarray, damping: float | np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact one-step discretization of the SDOF equation.
 
@@ -121,30 +121,47 @@ def sdof_coefficients(
 
     where ``F = [[0, 1], [-w^2, -2 zeta w]]`` and ``G = (0, 1)^T``.
     These are the Nigam–Jennings coefficients in matrix form.
+
+    ``period`` and ``damping`` broadcast against each other, so one call
+    covers a whole oscillator grid: ``K`` oscillators give ``A`` of
+    shape ``(K, 2, 2)`` and ``B0``/``B1`` of shape ``(K, 2)``.  Each
+    oscillator goes through the same element-wise operations as a lone
+    one, so a batch is bit-identical to one call per oscillator; two
+    scalars return ``(2, 2)``, ``(2,)`` and ``(2,)``.
     """
-    if period <= 0 or dt <= 0:
+    scalar = np.ndim(period) == 0 and np.ndim(damping) == 0
+    t, z = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(period, dtype=float)),
+        np.atleast_1d(np.asarray(damping, dtype=float)),
+    )
+    if np.any(t <= 0) or dt <= 0:
         raise SignalError("period and dt must be positive")
-    if not 0 <= damping < 1:
+    if not np.all((0 <= z) & (z < 1)):
         raise SignalError(f"damping ratio must be in [0, 1), got {damping}")
-    w = 2.0 * np.pi / period
-    wd = w * np.sqrt(1.0 - damping * damping)
-    e = np.exp(-damping * w * dt)
+    w = 2.0 * np.pi / t
+    wd = w * np.sqrt(1.0 - z * z)
+    e = np.exp(-z * w * dt)
     s = np.sin(wd * dt)
     c = np.cos(wd * dt)
     # Closed-form matrix exponential of F over one step.
-    a11 = e * (c + damping * w * s / wd)
-    a12 = e * s / wd
-    a21 = -e * w * w * s / wd
-    a22 = e * (c - damping * w * s / wd)
-    A = np.array([[a11, a12], [a21, a22]])
-    F = np.array([[0.0, 1.0], [-w * w, -2.0 * damping * w]])
+    A = np.empty(t.shape + (2, 2))
+    A[:, 0, 0] = e * (c + z * w * s / wd)
+    A[:, 0, 1] = e * s / wd
+    A[:, 1, 0] = -e * w * w * s / wd
+    A[:, 1, 1] = e * (c - z * w * s / wd)
+    F = np.zeros_like(A)
+    F[:, 0, 1] = 1.0
+    F[:, 1, 0] = -w * w
+    F[:, 1, 1] = -2.0 * z * w
     Finv = np.linalg.inv(F)
     eye = np.eye(2)
     M0 = Finv @ (A - eye)
     M1 = M0 - Finv @ A + (Finv @ Finv @ (A - eye)) / dt
     # G = (0, 1)^T, so M G is just the second column of M.
-    B0 = (M0 - M1)[:, 1]
-    B1 = M1[:, 1]
+    B0 = (M0 - M1)[..., 1]
+    B1 = M1[..., 1]
+    if scalar:
+        return A[0], B0[0], B1[0]
     return A, B0, B1
 
 
@@ -156,24 +173,28 @@ def _scalar_recursions(
     Returns ``(den, num_x, num_v)`` where each response series is
     ``lfilter(num, den, p)`` with initial conditions handled by
     :func:`_initial_conditions`.  Derivation: annihilate the companion
-    state using the Cayley–Hamilton relation of ``A``.
+    state using the Cayley–Hamilton relation of ``A``.  Works on one
+    oscillator or on a stack (taps along the last axis).
     """
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    den = np.array([1.0, -tr, det])
-    num_x = np.array(
+    a11, a12, a21, a22 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    den = np.stack([np.ones_like(tr), -tr, det], axis=-1)
+    num_x = np.stack(
         [
-            B1[0],
-            B0[0] + A[0, 1] * B1[1] - A[1, 1] * B1[0],
-            A[0, 1] * B0[1] - A[1, 1] * B0[0],
-        ]
+            B1[..., 0],
+            B0[..., 0] + a12 * B1[..., 1] - a22 * B1[..., 0],
+            a12 * B0[..., 1] - a22 * B0[..., 0],
+        ],
+        axis=-1,
     )
-    num_v = np.array(
+    num_v = np.stack(
         [
-            B1[1],
-            B0[1] + A[1, 0] * B1[0] - A[0, 0] * B1[1],
-            A[1, 0] * B0[0] - A[0, 0] * B0[1],
-        ]
+            B1[..., 1],
+            B0[..., 1] + a21 * B1[..., 0] - a11 * B1[..., 1],
+            a21 * B0[..., 0] - a11 * B0[..., 1],
+        ],
+        axis=-1,
     )
     return den, num_x, num_v
 
@@ -187,10 +208,13 @@ def _initial_conditions(
     with zero filter history ``lfilter`` would start the oscillator
     moving at k=0.  These zi values subtract the homogeneous evolution
     of the spurious state ``B1 * p[0]``, making the filtered output
-    equal the exact at-rest solution (x[0] = v[0] = 0).
+    equal the exact at-rest solution (x[0] = v[0] = 0).  Works on one
+    oscillator or on a stack, like :func:`_scalar_recursions`.
     """
-    zi_x = p0 * np.array([-B1[0], A[1, 1] * B1[0] - A[0, 1] * B1[1]])
-    zi_v = p0 * np.array([-B1[1], A[0, 0] * B1[1] - A[1, 0] * B1[0]])
+    a11, a12, a21, a22 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    b1x, b1v = B1[..., 0], B1[..., 1]
+    zi_x = p0 * np.stack([-b1x, a22 * b1x - a12 * b1v], axis=-1)
+    zi_v = p0 * np.stack([-b1v, a11 * b1v - a21 * b1x], axis=-1)
     return zi_x, zi_v
 
 
@@ -218,27 +242,48 @@ def sdof_response_history(
     return x, v, total_acc
 
 
+def _oscillator_grid(config: ResponseSpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and dampings of every oscillator, damping-major."""
+    dampings = np.asarray(config.dampings, dtype=float)
+    return np.tile(config.periods, dampings.size), np.repeat(dampings, config.periods.size)
+
+
 def response_spectrum_nigam_jennings(
     acc: np.ndarray, dt: float, config: ResponseSpectrumConfig
 ) -> ResponseSpectrum:
-    """Response spectrum via the Nigam–Jennings recursion (O(D) each)."""
+    """Response spectrum via the Nigam–Jennings recursion (O(D) each).
+
+    The filter taps and initial states of every oscillator are set up
+    in one batched pass; the loop then runs only each oscillator's two
+    ``lfilter`` calls and its peak reductions.
+    """
     acc = np.asarray(acc, dtype=float)
+    if acc.size == 0:
+        raise SignalError("cannot compute the response of an empty record")
     n_d = len(config.dampings)
     n_t = config.periods.size
     sd = np.empty((n_d, n_t))
     sv = np.empty((n_d, n_t))
     sa = np.empty((n_d, n_t))
-    for di, zeta in enumerate(config.dampings):
-        for ti, period in enumerate(config.periods):
-            x, v, ta = sdof_response_history(acc, dt, period, zeta)
-            w = 2.0 * np.pi / period
-            sd[di, ti] = np.max(np.abs(x))
-            if config.pseudo:
-                sv[di, ti] = w * sd[di, ti]
-                sa[di, ti] = w * w * sd[di, ti]
-            else:
-                sv[di, ti] = np.max(np.abs(v))
-                sa[di, ti] = np.max(np.abs(ta))
+    p = -acc
+    A, B0, B1 = sdof_coefficients(*_oscillator_grid(config), dt)
+    den, num_x, num_v = _scalar_recursions(A, B0, B1)
+    zi_x, zi_v = _initial_conditions(A, B1, p[0])
+    for k, (di, ti) in enumerate(np.ndindex(n_d, n_t)):
+        zeta, period = config.dampings[di], config.periods[ti]
+        x, _ = lfilter(num_x[k], den[k], p, zi=zi_x[k])
+        v, _ = lfilter(num_v[k], den[k], p, zi=zi_v[k])
+        w = 2.0 * np.pi / period
+        sd[di, ti] = np.max(np.abs(x))
+        if config.pseudo:
+            sv[di, ti] = w * sd[di, ti]
+            sa[di, ti] = w * w * sd[di, ti]
+        else:
+            # Total acceleration from the equation of motion, as in
+            # sdof_response_history.
+            ta = -2.0 * zeta * w * v - w * w * x
+            sv[di, ti] = np.max(np.abs(v))
+            sa[di, ti] = np.max(np.abs(ta))
     return ResponseSpectrum(
         periods=config.periods.copy(),
         dampings=np.asarray(config.dampings, dtype=float),
@@ -365,55 +410,14 @@ def response_spectrum_nigam_jennings_vectorized(
     acc = np.asarray(acc, dtype=float)
     if acc.size == 0:
         raise SignalError("cannot compute the response of an empty record")
-    periods = np.repeat(config.periods, 1)
-    grid_t = np.tile(config.periods, len(config.dampings))
-    grid_z = np.repeat(np.asarray(config.dampings, dtype=float), config.periods.size)
+    grid_t, grid_z = _oscillator_grid(config)
     k = grid_t.size
-
-    # Closed-form per-oscillator coefficients, all vectorized.
+    A, B0, B1 = sdof_coefficients(grid_t, grid_z, dt)
+    # Contiguous rows: the time loop below streams over them D times.
+    a11, a12, a21, a22 = np.ascontiguousarray(A.reshape(k, 4).T)
+    b0x, b0v = np.ascontiguousarray(B0.T)
+    b1x, b1v = np.ascontiguousarray(B1.T)
     w = 2.0 * np.pi / grid_t
-    wd = w * np.sqrt(1.0 - grid_z**2)
-    e = np.exp(-grid_z * w * dt)
-    s = np.sin(wd * dt)
-    c = np.cos(wd * dt)
-    a11 = e * (c + grid_z * w * s / wd)
-    a12 = e * s / wd
-    a21 = -e * w * w * s / wd
-    a22 = e * (c - grid_z * w * s / wd)
-    # B0/B1 via the exact integrals (same algebra as sdof_coefficients,
-    # expanded element-wise).  F = [[0,1],[-w^2,-2 z w]]:
-    #   Finv = [[-2 z / w, -1/w^2], [1, 0]]
-    f11, f12, f21, f22 = (
-        np.zeros(k),
-        np.ones(k),
-        -(w**2),
-        -2.0 * grid_z * w,
-    )
-    det_f = f11 * f22 - f12 * f21  # = w^2
-    i11, i12 = f22 / det_f, -f12 / det_f
-    i21, i22 = -f21 / det_f, f11 / det_f
-    # M0 = Finv (A - I)
-    m0_11 = i11 * (a11 - 1.0) + i12 * a21
-    m0_12 = i11 * a12 + i12 * (a22 - 1.0)
-    m0_21 = i21 * (a11 - 1.0) + i22 * a21
-    m0_22 = i21 * a12 + i22 * (a22 - 1.0)
-    # Finv A
-    fa_11 = i11 * a11 + i12 * a21
-    fa_12 = i11 * a12 + i12 * a22
-    fa_21 = i21 * a11 + i22 * a21
-    fa_22 = i21 * a12 + i22 * a22
-    # Finv^2 (A - I) = Finv M0
-    ff_11 = i11 * m0_11 + i12 * m0_21
-    ff_12 = i11 * m0_12 + i12 * m0_22
-    ff_21 = i21 * m0_11 + i22 * m0_21
-    ff_22 = i21 * m0_12 + i22 * m0_22
-    m1_11 = m0_11 - fa_11 + ff_11 / dt
-    m1_12 = m0_12 - fa_12 + ff_12 / dt
-    m1_21 = m0_21 - fa_21 + ff_21 / dt
-    m1_22 = m0_22 - fa_22 + ff_22 / dt
-    # G = (0, 1): B columns are the second columns of the M matrices.
-    b1x, b1v = m1_12, m1_22
-    b0x, b0v = m0_12 - m1_12, m0_22 - m1_22
 
     p = -acc
     x = np.zeros(k)
@@ -436,7 +440,7 @@ def response_spectrum_nigam_jennings_vectorized(
     n_t = config.periods.size
     sd = max_x.reshape(n_d, n_t)
     if config.pseudo:
-        w_row = (2.0 * np.pi / periods)[None, :]
+        w_row = (2.0 * np.pi / config.periods)[None, :]
         sv = w_row * sd
         sa = w_row**2 * sd
     else:

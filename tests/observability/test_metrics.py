@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.observability.metrics import (
     record_process,
     recording_registry,
 )
+from repro.parallel.omp import parallel_for
 
 
 class TestInstruments:
@@ -237,6 +239,25 @@ class TestPlumbing:
                 assert recording_registry() is reg
         finally:
             drain_worker_shard()
+
+    def test_thread_windows_do_not_share_a_shard(self):
+        # Concurrent thread-backend chunks each open and drain a window;
+        # one process-wide slot let them overwrite and drain each
+        # other's shard, losing counts when no registry was installed.
+        def body(_item):
+            for _ in range(100):
+                record_points(1, "P16")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            for _ in range(20):
+                reg = MetricsRegistry()
+                parallel_for(body, range(200), backend="thread", num_workers=2,
+                             chunk_size=1, metrics=reg)
+                assert reg.total("repro_points_processed_total") == 20000
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRecordingHelpers:

@@ -69,6 +69,89 @@ class TestDecimation:
         assert dy.max() == 100.0
 
 
+def reference_decimate(x, y, max_points=2000):
+    """The per-bucket decimation the batched one must reproduce."""
+    n = x.shape[0]
+    if n <= max_points:
+        return x, y
+    buckets = max_points // 2
+    edges = np.linspace(0, n, buckets + 1, dtype=int)
+    xs, ys = [], []
+    for b in range(buckets):
+        s, e = edges[b], edges[b + 1]
+        if s >= e:
+            continue
+        seg = y[s:e]
+        i_min = s + int(np.argmin(seg))
+        i_max = s + int(np.argmax(seg))
+        for i in sorted((i_min, i_max)):
+            xs.append(float(x[i]))
+            ys.append(float(y[i]))
+    return np.asarray(xs), np.asarray(ys)
+
+
+def reference_polyline(canvas, points):
+    """The per-point PostScript path the one-call polyline must reproduce."""
+    if len(points) < 2:
+        return
+    parts = ["newpath", f"{points[0][0]:.2f} {points[0][1]:.2f} moveto"]
+    parts.extend(f"{x:.2f} {y:.2f} lineto" for x, y in points[1:])
+    parts.append("stroke")
+    canvas._emit("\n".join(parts))
+
+
+def awkward_series(n, seed):
+    """Rounded (so tied) values with NaN and +/-inf runs and plateaus."""
+    rng = np.random.default_rng(seed)
+    y = np.round(rng.normal(size=n), 1)
+    y[rng.integers(0, n, size=n // 50)] = np.nan
+    y[rng.integers(0, n, size=n // 50)] = np.inf
+    y[rng.integers(0, n, size=n // 50)] = -np.inf
+    y[n // 3 : n // 3 + 40] = np.inf  # whole buckets of one extreme
+    y[n // 2 : n // 2 + 40] = -np.inf
+    y[-40:] = 0.0
+    return np.arange(n) * 0.01, y
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+class TestBatchedPlotEquality:
+    @pytest.mark.parametrize("n", [2001, 2021, 30_000])
+    @pytest.mark.parametrize("max_points", [2000, 1001, 3])
+    def test_decimation_matches_per_bucket_loop(self, n, max_points):
+        x, y = awkward_series(n, seed=n)
+        got = _decimate_for_plot(x, y, max_points=max_points)
+        want = reference_decimate(x, y, max_points=max_points)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_degenerate_bucket_count_matches(self):
+        x, y = awkward_series(2001, seed=1)
+        for max_points in (0, 1):
+            got = _decimate_for_plot(x, y, max_points=max_points)
+            want = reference_decimate(x, y, max_points=max_points)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("n", [2001, 2021, 30_000])
+    def test_chart_document_matches_reference_paths(self, n, monkeypatch):
+        def render(chart_y):
+            chart = LineChart(title="eq", y_axis=Axis(lo=-3.0, hi=3.0))
+            chart.add(Series(x=np.arange(n) * 0.01, y=chart_y, label="a"))
+            chart.add(Series(x=np.arange(n) * 0.01, y=-chart_y, gray=0.5))
+            canvas = PostScriptCanvas()
+            chart.draw(canvas, x0=50, y0=50, width=400, height=300)
+            return canvas.render()
+
+        _, y = awkward_series(n, seed=7)
+        got = render(y)
+        monkeypatch.setattr("repro.plotting.charts._decimate_for_plot", reference_decimate)
+        monkeypatch.setattr(PostScriptCanvas, "polyline", reference_polyline)
+        assert got == render(y)
+
+
 class TestSeries:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ReproError):

@@ -1,5 +1,6 @@
 """Unit tests for the PostScript writer."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -78,3 +79,36 @@ class TestCanvas:
         assert path.read_text().startswith("%!PS")
         with pytest.raises(ReproError):
             canvas.line(0, 0, 2, 2)
+
+
+def reference_polyline_text(points):
+    """The per-point path text the one-call polyline must reproduce."""
+    parts = ["newpath", f"{points[0][0]:.2f} {points[0][1]:.2f} moveto"]
+    parts.extend(f"{x:.2f} {y:.2f} lineto" for x, y in points[1:])
+    parts.append("stroke")
+    return "\n".join(parts)
+
+
+class TestPolylineEquality:
+    @pytest.mark.parametrize("n", [2, 2001, 2021, 30_000])
+    def test_matches_per_point_formatting(self, n):
+        rng = np.random.default_rng(n)
+        xy = np.round(rng.normal(size=(n, 2)) * 300.0, 3)  # ties at .xx5
+        xy[rng.integers(0, n, size=max(1, n // 100)), 0] = np.nan
+        xy[rng.integers(0, n, size=max(1, n // 100)), 1] = np.inf
+        xy[rng.integers(0, n, size=max(1, n // 100)), 1] = -np.inf
+        xy[0] = (-0.0, 0.005)
+        points = list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
+        canvas = PostScriptCanvas()
+        canvas.polyline(points)
+        reference = PostScriptCanvas()
+        reference._emit(reference_polyline_text(points))
+        assert canvas.render() == reference.render()
+
+    def test_integer_points_match(self):
+        points = [(0, 0), (10, 20), (30, 40)]
+        canvas = PostScriptCanvas()
+        canvas.polyline(points)
+        reference = PostScriptCanvas()
+        reference._emit(reference_polyline_text(points))
+        assert canvas.render() == reference.render()
